@@ -68,7 +68,6 @@ from .solver import (
     enumerate_minimum_sets,
     lower_bound,
     sigma_exact,
-    sigma_upper_search,
 )
 from .trees import (
     Partition,
@@ -142,7 +141,6 @@ __all__ = [
     "sigma_closed_form",
     "sigma_exact",
     "sigma_tree",
-    "sigma_upper_search",
     "star",
     "structure_report",
     "subtree_partition",

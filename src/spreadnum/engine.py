@@ -152,11 +152,34 @@ def _close(
                     queued[w] = 1
                     break
     heapq.heapify(heap)
-    push, pop = heapq.heappush, heapq.heappop
     steps: list[tuple[int, int]] = []
+    _drain(adj, deg, p, qe, blue, bc, queued, heap, steps if record else None)
+    return blue, steps
+
+
+def _drain(
+    adj: tuple[tuple[int, ...], ...],
+    deg: tuple[int, ...],
+    p: int,
+    qe: int,
+    blue: bytearray,
+    bc: list[int],
+    queued: bytearray,
+    heap: list[int],
+    steps: list[tuple[int, int]] | None,
+) -> None:
+    """Color queued vertices lowest id first until the heap is empty.
+
+    Invariant: every eligible white vertex is queued, and ``queued`` marks
+    exactly the blue and heaped vertices.  Coloring a vertex updates the
+    counts around it and queues whatever that makes eligible, so the
+    invariant survives each pop.  With ``steps`` the pop is attributed to
+    its lowest-id usable blue neighbor.
+    """
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
         w = pop(heap)
-        if record:
+        if steps is not None:
             forcer = -1
             for u in adj[w]:
                 if blue[u] and deg[u] - bc[u] <= qe:
@@ -187,7 +210,28 @@ def _close(
                 if not queued[y] and bc[y] >= p:
                     push(heap, y)
                     queued[y] = 1
-    return blue, steps
+
+
+def _resume(
+    adj: tuple[tuple[int, ...], ...],
+    deg: tuple[int, ...],
+    p: int,
+    qe: int,
+    blue: bytearray,
+    bc: list[int],
+    v: int,
+) -> None:
+    """Add seed ``v`` to the fixpoint ``blue`` and run the rule to the new one.
+
+    ``blue`` and ``bc`` must be a closure and its blue-neighbor counts (the
+    all-white state is one); both are updated in place.  A fixpoint has no
+    eligible white vertex, so coloring ``v`` as if it were forced keeps
+    :func:`_drain`'s invariant, and by monotonicity the result is the
+    closure of the old blue set plus ``v``.  No trace is kept.
+    """
+    queued = bytearray(blue)
+    queued[v] = 1
+    _drain(adj, deg, p, qe, blue, bc, queued, [v], None)
 
 
 def _check_seeds(G: Graph, seeds: Iterable[int]) -> frozenset[int]:

@@ -83,17 +83,6 @@ class Graph:
                     yield (u, v)
 
     @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor sets as int bitmasks (bit v = vertex v)."""
-        masks = []
-        for a in self.adj:
-            m = 0
-            for v in a:
-                m |= 1 << v
-            masks.append(m)
-        return tuple(masks)
-
-    @cached_property
     def label_map(self) -> dict[int, str]:
         return dict(self.labels) if self.labels else {}
 

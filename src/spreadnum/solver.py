@@ -1,20 +1,24 @@
 """Exact minimum spreading sets by ascending-cardinality subset search.
 
 This is the reference oracle for every formula and tree algorithm in the
-package.  Candidate sets are enumerated as int bitmasks in ascending size,
-so the first feasible cardinality is optimal and no branch-and-bound
-bookkeeping is needed.  Three reductions keep the search honest at desk
-scale: vertices of degree below ``p`` can never be forced and are fixed in
-every candidate, components are solved independently, and candidates in
-which every member keeps more than ``q`` outside neighbors are skipped
-because no force can ever begin from them.
+package.  Each cardinality level is searched in full before the next, so
+the first feasible cardinality is optimal and no branch-and-bound
+bookkeeping is needed.  Within a level one depth-first search visits
+candidate sets in lexicographic order, and every prefix keeps its closure:
+a child colors one more seed and resumes the rule from its parent's
+fixpoint instead of starting over.  A vertex the prefix closure already
+colors is never added, because the set would close like one of the
+previous level, which failed or lies below the static bound.  Vertices of
+degree below ``p`` can never be forced and are fixed in every candidate,
+and components are solved independently.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import islice
+from typing import Iterator
 
-from .engine import SigmaResult, SpreadParams, _close, closure
+from .engine import SigmaResult, SpreadParams, _resume, closure
 from .graphs import Graph
 
 
@@ -41,13 +45,19 @@ class BudgetExhausted(RuntimeError):
 
 
 #: Evaluation cap applied when no budget is given, so a search on an
-#: oversized graph reports exhaustion instead of running forever.  Far above
-#: anything a desk-scale instance needs; pass ``Budget(None)`` to lift it.
+#: oversized graph reports exhaustion instead of running forever.  One
+#: evaluation is one resumed closure, a node of the subset search; the 5x5
+#: grid at (3, 3) takes about 432k of them.  Pass ``Budget(None)`` to lift it.
 DEFAULT_EVALUATION_BUDGET = 5_000_000
 
 
 class Budget:
-    """Counts closure evaluations; hardware-independent 'gave up' behavior."""
+    """Counts closure evaluations; hardware-independent 'gave up' behavior.
+
+    The subset search charges one evaluation per node: the closure of the
+    fixed low-degree vertices at the root of each level, and every resume
+    that adds one seed to a prefix closure, leaves and inner prefixes alike.
+    """
 
     __slots__ = ("limit", "used")
 
@@ -87,47 +97,71 @@ def lower_bound(G: Graph, params: SpreadParams) -> int:
     return lb
 
 
-def _search_component(
-    G: Graph, params: SpreadParams, budget: Budget, k_max: int | None = None
-) -> tuple[int, frozenset[int]] | None:
-    """Smallest spreading set of a connected graph, or None above ``k_max``.
+def _spreading_sets(
+    G: Graph, params: SpreadParams, budget: Budget, k: int
+) -> Iterator[frozenset[int]]:
+    """Spreading sets of size ``k`` in lexicographic order; all minimum ones
+    when ``k`` is the spreading number.
 
-    Raises :class:`BudgetExhausted` (annotated with the best bounds known at
-    that point) if the evaluation budget runs out first.
+    Every set holds all vertices of degree below ``p`` (they can never be
+    forced) plus free vertices chosen depth first in ascending order.  Each
+    prefix keeps its closure, and a child resumes from it with one more
+    seed.  A vertex the prefix closure already colors is never added: the
+    set would close exactly like the set without it, one smaller, so it
+    cannot be a minimum spreading set.  Every resumed closure, the root's
+    included, costs one budget evaluation.
     """
-    n = G.n
-    p = params.p
+    n, p = G.n, params.p
     qe = params.effective_q(n)
-    adj, deg, masks = G.adj, G.degrees, G.neighbor_masks
-    forced = [v for v in range(n) if deg[v] < p]
+    adj, deg = G.adj, G.degrees
+    forced = tuple(v for v in range(n) if deg[v] < p)
     free = [v for v in range(n) if deg[v] >= p]
-    forced_mask = 0
+    if not len(forced) <= k <= n:
+        return
+    charge = budget.charge
+
+    def extend(
+        blue: bytearray, bc: list[int], start: int, members: tuple[int, ...]
+    ) -> Iterator[frozenset[int]]:
+        last = len(members) + 1 == k
+        for i in range(start, len(free) - k + len(members) + 1):
+            v = free[i]
+            if blue[v]:
+                continue
+            charge()
+            child, child_bc = bytearray(blue), bc[:]
+            _resume(adj, deg, p, qe, child, child_bc, v)
+            if not last:
+                yield from extend(child, child_bc, i + 1, members + (v,))
+            elif 0 not in child:
+                yield frozenset(members + (v,))
+
+    charge()
+    blue, bc = bytearray(n), [0] * n
     for v in forced:
-        forced_mask |= 1 << v
-    lo = max(lower_bound(G, params), len(forced))
-    hi = n if k_max is None else min(k_max, n)
-    for k in range(lo, hi + 1):
-        r = k - len(forced)
-        if r > len(free):
-            break
-        for combo in combinations(free, r):
-            smask = forced_mask
-            for v in combo:
-                smask |= 1 << v
-            if k < n and not any(
-                deg[v] - (masks[v] & smask).bit_count() <= qe
-                for v in forced + list(combo)
-            ):
-                continue  # no member could ever start a force
-            try:
-                budget.charge()
-            except BudgetExhausted as exc:
-                exc.lower_bound = k
-                raise
-            blue, _ = _close(adj, deg, n, p, qe, forced + list(combo))
-            if all(blue):
-                return k, frozenset(forced + list(combo))
-    return None
+        _resume(adj, deg, p, qe, blue, bc, v)
+    if len(forced) < k:
+        yield from extend(blue, bc, 0, forced)
+    elif 0 not in blue:
+        yield frozenset(forced)
+
+
+def _search_component(
+    G: Graph, params: SpreadParams, budget: Budget
+) -> tuple[int, frozenset[int]]:
+    """Smallest spreading set of a connected graph, first in search order.
+
+    Raises :class:`BudgetExhausted` (annotated with the cardinality level
+    being searched) if the evaluation budget runs out first.
+    """
+    for k in range(lower_bound(G, params), G.n + 1):
+        try:
+            for S in _spreading_sets(G, params, budget, k):
+                return k, S
+        except BudgetExhausted as exc:
+            exc.lower_bound = k
+            raise
+    raise AssertionError("the full vertex set always spreads")
 
 
 def sigma_exact(
@@ -151,7 +185,7 @@ def sigma_exact(
     for idx, comp in enumerate(comps):
         sub, old_ids = G.induced(comp)
         try:
-            found = _search_component(sub, params, b)
+            k, local = _search_component(sub, params, b)
         except BudgetExhausted as exc:
             solved_lb = total + (exc.lower_bound or 0)
             for rest in comps[idx + 1 :]:
@@ -160,8 +194,6 @@ def sigma_exact(
             raise BudgetExhausted(
                 str(exc), evaluations=exc.evaluations, lower_bound=solved_lb
             ) from None
-        assert found is not None  # a full component always spreads itself
-        k, local = found
         total += k
         witness.update(old_ids[v] for v in local)
     final, trace = closure(G, params, witness)
@@ -171,55 +203,18 @@ def sigma_exact(
     )
 
 
-def sigma_upper_search(
-    G: Graph, params: SpreadParams, k_max: int, budget: int | Budget | None = None
-) -> tuple[int, frozenset[int]] | None:
-    """Smallest spreading set of size at most ``k_max``, or None.
-
-    Used by gadget certification to confirm that nothing beats a
-    construction-provided upper bound without enumerating larger sets.
-    """
-    if G.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    if not G.is_connected:
-        raise ValueError("bounded search expects a connected graph")
-    return _search_component(G, params, _as_budget(budget), k_max=k_max)
-
-
 def enumerate_minimum_sets(
     G: Graph,
     params: SpreadParams,
     limit: int | None = None,
     budget: int | Budget | None = None,
 ) -> list[frozenset[int]]:
-    """All (up to ``limit``) spreading sets of minimum cardinality.
+    """All spreading sets of minimum cardinality, or the first ``limit`` of
+    them in lexicographic order.
 
     Each returned set has been validated by running it to closure; output is
     sorted, so repeated runs agree element for element.
     """
     b = _as_budget(budget)
     k = sigma_exact(G, params, b).value
-    n, p = G.n, params.p
-    qe = params.effective_q(n)
-    adj, deg, masks = G.adj, G.degrees, G.neighbor_masks
-    forced = [v for v in range(n) if deg[v] < p]
-    free = [v for v in range(n) if deg[v] >= p]
-    out: list[frozenset[int]] = []
-    if k - len(forced) < 0 or k - len(forced) > len(free):
-        return out
-    for combo in combinations(free, k - len(forced)):
-        members = forced + list(combo)
-        smask = 0
-        for v in members:
-            smask |= 1 << v
-        if k < n and not any(
-            deg[v] - (masks[v] & smask).bit_count() <= qe for v in members
-        ):
-            continue
-        b.charge()
-        blue, _ = _close(adj, deg, n, p, qe, members)
-        if all(blue):
-            out.append(frozenset(members))
-            if limit is not None and len(out) >= limit:
-                break
-    return sorted(out, key=sorted)
+    return sorted(islice(_spreading_sets(G, params, b, k), limit), key=sorted)

@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadnum import (
     INFINITY,
+    Graph,
     SpreadParams,
     SpreadTrace,
     check_spreading_sequence,
@@ -21,6 +24,7 @@ from spreadnum import (
     star,
     verify_trace,
 )
+from spreadnum.engine import _close, _resume
 
 from conftest import naive_closure, random_graph, random_tree
 
@@ -298,3 +302,45 @@ def test_closure_is_deterministic():
         first = closure(g, params, seeds)
         for _ in range(3):
             assert closure(g, params, seeds) == first
+
+
+@st.composite
+def _resume_cases(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    params = P(draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, INFINITY])))
+    seeds = draw(st.lists(st.integers(0, n - 1), unique=True))
+    v = draw(st.integers(0, n - 1))
+    return Graph.from_edges(n, edges), params, seeds, v, draw(st.randoms())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_resume_cases())
+def test_resume_from_closure_matches_fresh_closure(case):
+    g, params, seeds, v, rng = case
+    adj, deg, p, qe = g.adj, g.degrees, params.p, params.effective_q(g.n)
+
+    def counts(blue):
+        return [sum(blue[u] for u in adj[w]) for w in range(g.n)]
+
+    expected, _ = _close(adj, deg, g.n, p, qe, seeds + [v])
+    # Two routes to cl(S): one fresh closure, and single-seed resumes from
+    # the all-white state in a random order.
+    start, _ = _close(adj, deg, g.n, p, qe, seeds)
+    chained, chained_bc = bytearray(g.n), [0] * g.n
+    for s in rng.sample(seeds, len(seeds)):
+        if not chained[s]:
+            _resume(adj, deg, p, qe, chained, chained_bc, s)
+    assert chained == start and chained_bc == counts(start)
+    if start[v]:
+        # Adding a vertex the closure already colors changes nothing; the
+        # subset search relies on this to skip such vertices.
+        assert expected == start
+        return
+    for blue, bc in ((start, counts(start)), (chained, chained_bc)):
+        _resume(adj, deg, p, qe, blue, bc, v)
+        assert blue == expected
+        assert bc == counts(expected)
+    final = frozenset(w for w in range(g.n) if expected[w])
+    assert final == naive_closure(g, params, seeds + [v], rng)

@@ -221,8 +221,3 @@ def test_induced_subgraph():
     sub, old = g.induced({1, 2, 3})
     assert old == (1, 2, 3)
     assert list(sub.edges()) == [(0, 1), (1, 2)]
-
-
-def test_neighbor_masks():
-    g = path(4)
-    assert g.neighbor_masks == (0b0010, 0b0101, 0b1010, 0b0100)

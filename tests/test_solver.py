@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -20,12 +21,11 @@ from spreadnum import (
     lower_bound,
     path,
     sigma_exact,
-    sigma_upper_search,
     star,
     verify_trace,
 )
 
-from conftest import naive_sigma, random_graph, random_tree
+from conftest import naive_is_spreading, naive_sigma, random_graph, random_tree
 
 P = SpreadParams
 
@@ -64,6 +64,31 @@ def test_deterministic_witness():
         again = sigma_exact(g, P(2, 2))
         assert again.value == first.value
         assert again.witness == first.witness
+
+
+def test_witness_and_enumeration_are_lexicographically_first():
+    rng = random.Random(4321)
+    checked = with_low_degree = 0
+    while checked < 40:
+        g = random_graph(rng.randrange(2, 10), rng.uniform(0.25, 0.75), rng)
+        if not g.is_connected:
+            continue
+        params = P(rng.randrange(1, 4), rng.choice([1, 2, 3, INFINITY]))
+        k = naive_sigma(g, params)
+        minimum = [
+            frozenset(c)
+            for c in combinations(range(g.n), k)
+            if naive_is_spreading(g, params, c)
+        ]
+        assert sigma_exact(g, params).witness == minimum[0]
+        assert enumerate_minimum_sets(g, params) == sorted(minimum, key=sorted)
+        limit = rng.randrange(1, 4)
+        assert enumerate_minimum_sets(g, params, limit=limit) == sorted(
+            minimum[:limit], key=sorted
+        )
+        checked += 1
+        with_low_degree += min(g.degrees) < params.p
+    assert with_low_degree >= 10
 
 
 def test_every_degree_below_p_forces_full_set():
@@ -168,6 +193,35 @@ def test_budget_exhaustion_raises_with_bounds():
     assert exc.lower_bound <= sigma_exact(g, P(2, 2)).value
 
 
+def test_budget_exhaustion_in_later_component_keeps_solved_bounds():
+    params = P(2, 2)
+    parts = [path(3), grid(3, 3), cycle(5)]
+    edges, offset = [], 0
+    for h in parts:
+        edges += [(u + offset, v + offset) for u, v in h.edges()]
+        offset += h.n
+    g = Graph.from_edges(offset, edges)
+    first, second, rest = parts
+    used = 0
+    for h in (first, second):
+        solo = Budget(None)
+        sigma_exact(h, params, solo)
+        used += solo.used
+    # The budget runs out on the second component's last evaluation, which
+    # belongs to the level of its optimum, above its static bound.
+    assert sigma_exact(second, params).value > lower_bound(second, params)
+    assert sigma_exact(rest, params).value > lower_bound(rest, params)
+    with pytest.raises(BudgetExhausted) as info:
+        sigma_exact(g, params, budget=used - 1)
+    exc = info.value
+    assert exc.evaluations == used - 1
+    assert exc.lower_bound == (
+        sigma_exact(first, params).value
+        + sigma_exact(second, params).value
+        + lower_bound(rest, params)
+    )
+
+
 def test_budget_object_is_shared_across_calls():
     shared = Budget(10_000)
     sigma_exact(path(4), P(1, 1), shared)
@@ -188,21 +242,6 @@ def test_default_budget_bounds_unbudgeted_calls():
     assert _as_budget(7).limit == 7
     unlimited = Budget(None)
     assert _as_budget(unlimited) is unlimited and unlimited.limit is None
-
-
-def test_upper_search_none_below_optimum():
-    g = grid(3, 3)
-    opt = sigma_exact(g, P(3, 3)).value
-    assert sigma_upper_search(g, P(3, 3), opt - 1) is None
-    k, witness = sigma_upper_search(g, P(3, 3), opt)
-    assert k == opt
-    assert is_spreading_set(g, P(3, 3), witness)
-
-
-def test_upper_search_requires_connected():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError):
-        sigma_upper_search(g, P(1, 1), 2)
 
 
 def test_empty_graph_rejected():
