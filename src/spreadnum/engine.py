@@ -74,14 +74,6 @@ class SpreadTrace:
             "final": sorted(self.final),
         }
 
-    @staticmethod
-    def from_json(doc: dict) -> "SpreadTrace":
-        return SpreadTrace(
-            initial=frozenset(doc["initial"]),
-            steps=tuple((f, w) for f, w in doc["steps"]),
-            final=frozenset(doc["final"]),
-        )
-
 
 @dataclass(frozen=True)
 class SigmaResult:

@@ -3,16 +3,19 @@
 For ``p = 1`` the spreading number of a tree equals the size of the smallest
 partition of its vertices into induced subtrees of maximum degree ``q + 1``,
 computed here by a single bottom-up pass.  For ``p >= 2`` the number does
-not depend on ``q`` at all, so the solver only ever runs with ``q = 1``.
-Trees with spreading number exactly ``ceil(((p-1)n + 1) / p)`` are
-recognized by a set-plus-ordering certificate ("property P(n,p)"): a seed
-set of that size together with an ordering of the remaining vertices in
-which each one sees at least ``p`` earlier-blue neighbors, subject to two
-edge-counting balance conditions.
+not depend on ``q`` at all: it is the size of a minimum ``p``-neighbor
+bootstrap percolating set, found by another bottom-up pass.  Trees with
+spreading number exactly ``ceil(((p-1)n + 1) / p)`` are recognized by a
+set-plus-ordering certificate ("property P(n,p)"): a seed set of that size
+together with an ordering of the remaining vertices in which each one sees
+at least ``p`` earlier-blue neighbors, subject to two edge-counting balance
+conditions.  Everything but the certificate search runs in near-linear
+time and checks its own result.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -23,7 +26,7 @@ from .engine import (
     closure,
 )
 from .graphs import Graph
-from .solver import BudgetExhausted, sigma_exact
+from .solver import BudgetExhausted
 
 
 def _require_tree(T: Graph) -> None:
@@ -76,13 +79,6 @@ class RootedTree:
             children=tuple(tuple(c) for c in children),
         )
 
-    def layers(self) -> list[list[int]]:
-        """Vertices grouped by depth, each layer in ascending id order."""
-        out: list[list[int]] = [[] for _ in range(max(self.depth) + 1)]
-        for v in range(self.tree.n):
-            out[self.depth[v]].append(v)
-        return out
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -101,74 +97,73 @@ class Partition:
 
 
 def partition_is_valid(T: Graph, q: int, partition: Partition) -> bool:
-    """Check the partition contract: cover, disjoint, connected, degree."""
-    seen: set[int] = set()
-    for part in partition:
-        if not part or part & seen:
+    """Check the partition contract: cover, disjoint, connected, degree.
+
+    O(n) with one part id per vertex.  ``T`` must be a tree: a part of a
+    tree is connected exactly when it induces ``|part| - 1`` edges.
+    """
+    _require_tree(T)
+    part_of = [-1] * T.n
+    for i, part in enumerate(partition):
+        for v in part:
+            if not 0 <= v < T.n or part_of[v] >= 0:
+                return False
+            part_of[v] = i
+    if -1 in part_of:
+        return False
+    inner = [0] * len(partition)  # twice the edge count each part induces
+    for v, i in enumerate(part_of):
+        d = [part_of[u] for u in T.adj[v]].count(i)
+        if d > q + 1:
             return False
-        seen |= part
-        sub, _ = T.induced(part)
-        if not sub.is_connected or sub.max_degree > q + 1:
-            return False
-    return seen == set(range(T.n))
+        inner[i] += d
+    # |part| - 1 edges: connected, and not empty, as no part has -1 edges
+    return all(inner[i] == 2 * (len(part) - 1) for i, part in enumerate(partition))
 
 
 def subtree_partition(T: Graph, q: int) -> Partition:
     """Smallest partition of a tree into induced subtrees of max degree q+1.
 
-    Single bottom-up pass over a BFS layering (linear time): the deepest
-    vertex whose remaining degree exceeds ``q + 1`` keeps itself plus its
-    ``q + 1`` lowest-id child subtrees as one part, its remaining child
-    subtrees split off as whole parts, and the processed subtree is removed.
-    Whatever survives to the root is one final part.
+    A bottom-up pass over a BFS layering picks the parts and a top-down pass
+    fills them (linear time): the deepest vertex whose remaining degree
+    exceeds ``q + 1`` keeps itself plus its ``q + 1`` lowest-id child
+    subtrees as one part, its remaining child subtrees split off as whole
+    parts, and the processed subtree is removed.  Whatever survives to the
+    root is one final part.
     """
     _require_tree(T)
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
     n = T.n
-    if n == 1:
-        return Partition((frozenset({0}),))
     rooted = RootedTree.from_tree(T)
-    root, parent, depth, children = (
-        rooted.root,
-        rooted.parent,
-        rooted.depth,
-        rooted.children,
-    )
-    removed = bytearray(n)
-    alive = [len(children[v]) for v in range(n)]
-    parts: list[frozenset[int]] = []
-
-    def take(top: int) -> frozenset[int]:
-        comp = []
-        stack = [top]
-        while stack:
-            x = stack.pop()
-            removed[x] = 1
-            comp.append(x)
-            stack.extend(c for c in children[x] if not removed[c])
-        return frozenset(comp)
-
-    for x in sorted(range(n), key=lambda v: (-depth[v], v)):
-        if removed[x]:
-            continue
-        deg_now = alive[x] + (0 if x == root else 1)
-        if deg_now <= q + 1:
-            continue
-        cs = [c for c in children[x] if not removed[c]]
-        for d in cs[q + 1 :]:
-            parts.append(take(d))
-        kept = {x}
-        removed[x] = 1
-        for c in cs[: q + 1]:
-            kept |= take(c)
-        parts.append(frozenset(kept))
-        if x != root:
-            alive[parent[x]] -= 1
-    rest = frozenset(v for v in range(n) if not removed[v])
-    if rest:
-        parts.append(rest)
-    result = Partition(tuple(parts))
+    root, parent, children = rooted.root, rooted.parent, rooted.children
+    by_depth: list[list[int]] = [[] for _ in range(max(rooted.depth) + 1)]
+    for v in range(n):
+        by_depth[rooted.depth[v]].append(v)
+    # Bottom up: part[v] is the index of the part that v heads, or -1.  A
+    # child heading a part has left its parent's remaining subtree; the
+    # root heads whatever is left at the top.
+    part = [-1] * n
+    alive = [len(c) for c in children]
+    count = 0
+    for layer in reversed(by_depth):
+        for x in layer:
+            if alive[x] <= q and x != root:
+                continue
+            cs = [c for c in children[x] if part[c] < 0]
+            for c in cs[q + 1 :] + [x]:
+                part[c] = count
+                count += 1
+            if x != root:
+                alive[parent[x]] -= 1
+    # Top down: every other vertex joins the part of its parent.
+    members: list[list[int]] = [[] for _ in range(count)]
+    for layer in by_depth:
+        for v in layer:
+            if part[v] < 0:
+                part[v] = part[parent[v]]
+            members[part[v]].append(v)
+    result = Partition(tuple(frozenset(m) for m in members))
     assert partition_is_valid(T, q, result)
     return result
 
@@ -181,34 +176,54 @@ def _part_seed(T: Graph, part: frozenset[int]) -> int:
     raise AssertionError("induced subtree without a leaf")
 
 
+def _percolating_seeds(rooted: RootedTree, p: int) -> frozenset[int]:
+    """Minimum ``p``-neighbor bootstrap percolating set of a tree, ``p >= 2``.
+
+    Riedl's rule ("Largest and smallest minimal percolating sets in trees",
+    EJC 2012), children first: a vertex with at least ``p`` active children
+    is active; one with ``p - 1`` waits for its parent (the root cannot
+    wait); any other vertex is seeded and active.  The set also spreads at
+    ``q = 1``: a vertex's subtree turns blue once the vertex does, so each
+    active child has its parent as its only white neighbor, and a waiting
+    vertex has ``p - 1 >= 1`` such children.
+    """
+    order = [rooted.root]
+    for u in order:
+        order.extend(rooted.children[u])
+    active_children = [0] * len(order)
+    seeds = []
+    for v in reversed(order):
+        c = active_children[v]
+        if c == p - 1 and v != rooted.root:
+            continue
+        if c < p:
+            seeds.append(v)
+        if v != rooted.root:
+            active_children[rooted.parent[v]] += 1
+    return frozenset(seeds)
+
+
 def sigma_tree(T: Graph, params: SpreadParams) -> SigmaResult:
-    """Spreading number of a tree, with a validated witness.
+    """Spreading number of a tree, with a validated witness, without search.
 
     ``p = 1``: one seed per part of :func:`subtree_partition` (a leaf of the
     part) spreads the whole tree; with unlimited white budget a single
-    vertex suffices.  ``p >= 2``: the value is independent of ``q``, so it
-    is computed by exact search at ``q = 1`` and revalidated under the
-    requested parameters.
+    vertex suffices.  ``p >= 2``: the value is independent of ``q`` and
+    equals the size of a minimum ``p``-neighbor bootstrap percolating set,
+    which :func:`_percolating_seeds` builds.  Either witness is revalidated
+    by a closure under the requested parameters.
     """
     _require_tree(T)
-    p = params.p
-    if p == 1:
-        if params.q_is_infinite:
-            seeds = frozenset({0})
-        else:
-            parts = subtree_partition(T, params.q)
-            seeds = frozenset(_part_seed(T, part) for part in parts)
-        final, trace = closure(T, params, seeds)
-        assert final == frozenset(range(T.n)), "partition seeds failed to spread"
-        return SigmaResult(
-            value=len(seeds), status="exact", witness=seeds, trace=trace
-        )
-    base = sigma_exact(T, SpreadParams(p, 1))
-    witness = base.witness
-    assert witness is not None
-    final, trace = closure(T, params, witness)
-    assert final == frozenset(range(T.n)), "q=1 witness must spread for larger q"
-    return SigmaResult(value=base.value, status="exact", witness=witness, trace=trace)
+    if params.p >= 2:
+        seeds = _percolating_seeds(RootedTree.from_tree(T), params.p)
+    elif params.q_is_infinite:
+        seeds = frozenset({0})
+    else:
+        parts = subtree_partition(T, params.q)
+        seeds = frozenset(_part_seed(T, part) for part in parts)
+    final, trace = closure(T, params, seeds)
+    assert final == frozenset(range(T.n)), "tree seeds failed to spread"
+    return SigmaResult(value=len(seeds), status="exact", witness=seeds, trace=trace)
 
 
 def tree_lower_bound(n: int, p: int) -> int:
@@ -308,28 +323,6 @@ class PnpReport:
         }
 
 
-def _seed_components(T: Graph, S: frozenset[int]) -> dict[int, frozenset[int]]:
-    """Map each seed vertex to its connected component within T[S]."""
-    comp: dict[int, frozenset[int]] = {}
-    seen: set[int] = set()
-    for s in sorted(S):
-        if s in seen:
-            continue
-        stack = [s]
-        group: set[int] = set()
-        while stack:
-            u = stack.pop()
-            if u in group:
-                continue
-            group.add(u)
-            stack.extend(v for v in T.adj[u] if v in S and v not in group)
-        fz = frozenset(group)
-        seen |= group
-        for u in group:
-            comp[u] = fz
-    return comp
-
-
 def check_property_pnp(
     T: Graph, p: int, S, ordering
 ) -> PnpReport:
@@ -340,7 +333,8 @@ def check_property_pnp(
     still-unused seed components adjacent to it.  Requirements: every
     ordered vertex has at least ``p`` neighbors inside its own forest, the
     total excess over ``p`` fits inside ``rem(n-1, p)``, and the seed set
-    spends exactly the leftover remainder on internal edges.
+    spends exactly the leftover remainder on internal edges.  Each step's
+    counts are running totals over one union-find: near-linear time.
     """
     _require_tree(T)
     if not isinstance(p, int) or p < 2:
@@ -354,7 +348,8 @@ def check_property_pnp(
     n = T.n
     need = tree_lower_bound(n, p)
     remainder = (n - 1) % p
-    seed_edges_total = sum(1 for u, v in T.edges() if u in S and v in S)
+    seed_pairs = [(u, v) for u, v in T.edges() if u in S and v in S]
+    seed_edges_total = len(seed_pairs)
     if len(S) != need:
         return PnpReport(
             holds=False,
@@ -366,23 +361,52 @@ def check_property_pnp(
             seed_edges=seed_edges_total,
             steps=(),
         )
-    comp = _seed_components(T, S)
-    used: set[int] = set()
-    forest: set[int] = set()
+    # The union-find joins the components of T[S] first, then the forest's.
+    uf = list(range(n))
+    size = [1] * n
+
+    def find(x: int) -> int:
+        while uf[x] != x:
+            uf[x] = uf[uf[x]]
+            x = uf[x]
+        return x
+
+    def union(a: int, b: int) -> bool:
+        a, b = sorted((find(a), find(b)), key=size.__getitem__)
+        if a != b:
+            uf[a] = b
+            size[b] += size[a]
+        return a != b
+
+    for u, v in seed_pairs:
+        union(u, v)
+    comp = [find(v) if v in S else -1 for v in range(n)]  # -1 off S
+    members: dict[int, list[int]] = {}  # seed components not yet pulled
+    for s in S:
+        members.setdefault(comp[s], []).append(s)
+    comp_edges = Counter(comp[u] for u, _ in seed_pairs)
+    in_forest = bytearray(n)
+    forest_size = k_t = c_t = blue_total = 0
     steps: list[PnpStep] = []
     blue_counts: list[int] = []
-    for t, v in enumerate(ordering, 1):
-        pulled: set[int] = set()
+    for v in ordering:
+        pulled: list[int] = []
         for u in T.adj[v]:
-            if u in S and u not in used:
-                pulled |= comp[u] - used
-        used |= pulled
-        forest.add(v)
-        forest |= pulled
-        nfi = sum(1 for u in T.adj[v] if u in forest)
+            if comp[u] in members:
+                pulled += members.pop(comp[u])
+                k_t += comp_edges[comp[u]]
+                c_t += 1
+        for x in (v, *pulled):
+            in_forest[x] = 1
+        forest_size += 1 + len(pulled)
+        c_t += 1
+        nfi = 0
+        for u in T.adj[v]:
+            if in_forest[u]:
+                nfi += 1
+                c_t -= union(u, v)
         blue_counts.append(nfi)
-        k_t = sum(1 for u, w in T.edges() if u in forest and w in forest and u in S and w in S)
-        c_t = len(_forest_components(T, forest))
+        blue_total += nfi
         steps.append(
             PnpStep(
                 vertex=v,
@@ -394,10 +418,10 @@ def check_property_pnp(
         )
         # Invariant of the forest construction on trees: vertices = internal
         # seed edges + components + accumulated forced-neighbor counts.
-        assert len(forest) == k_t + c_t + sum(blue_counts), "forest balance broken"
+        assert forest_size == k_t + c_t + blue_total, "forest balance broken"
     excess = sum(c - p for c in blue_counts)
     if ordering:
-        assert forest == set(range(n)), "complete ordering must absorb every seed"
+        assert all(in_forest), "complete ordering must absorb every seed"
         assert n - 1 == p * len(ordering) + seed_edges_total + excess
     reason = None
     if any(c < p for c in blue_counts):
@@ -420,25 +444,6 @@ def check_property_pnp(
         seed_edges=seed_edges_total,
         steps=tuple(steps),
     )
-
-
-def _forest_components(T: Graph, vertices: set[int]) -> list[set[int]]:
-    comps = []
-    seen: set[int] = set()
-    for s in vertices:
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in T.adj[u]:
-                if v in vertices and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        comps.append(comp)
-    return comps
 
 
 def search_property_pnp(T: Graph, p: int, max_n: int = 14) -> PnpReport | None:

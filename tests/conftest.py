@@ -76,6 +76,81 @@ def naive_sigma(G: Graph, params: SpreadParams) -> int:
     raise AssertionError("the full vertex set always spreads")
 
 
+def _components_within(G: Graph, vertices: set[int]) -> list[set[int]]:
+    comps: list[set[int]] = []
+    for s in sorted(vertices):
+        if any(s in c for c in comps):
+            continue
+        comp = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v in G.adj[u]:
+                if v in vertices and v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        comps.append(comp)
+    return comps
+
+
+def naive_pnp_report(T: Graph, p: int, S, ordering) -> dict:
+    """Reference certificate report (``PnpReport.to_json``) by full rescans.
+
+    Every step recounts the seed edges inside the forest over all edges and
+    recomputes the forest's components by search, O(n * E) in total.
+    """
+    S, ordering, n = set(S), list(ordering), T.n
+    need = ((p - 1) * n + p) // p
+    remainder = (n - 1) % p
+    seed_edges = sum(1 for u, v in T.edges() if u in S and v in S)
+    doc = {
+        "holds": False,
+        "set": sorted(S),
+        "ordering": ordering,
+        "remainder": remainder,
+        "excess_sum": 0,
+        "seed_edges": seed_edges,
+        "steps": [],
+    }
+    if len(S) != need:
+        doc["reason"] = f"seed set has size {len(S)}, certificate needs {need}"
+        return doc
+    comp = {s: c for c in _components_within(T, S) for s in c}
+    forest: set[int] = set()
+    blue_counts = []
+    for v in ordering:
+        pulled = set().union(*(comp[u] for u in T.adj[v] if u in S)) - forest
+        forest |= pulled | {v}
+        blue_counts.append(sum(1 for u in T.adj[v] if u in forest))
+        doc["steps"].append(
+            {
+                "vertex": v,
+                "pulled": sorted(pulled),
+                "blue_neighbors": blue_counts[-1],
+                "seed_edges": sum(
+                    1 for u, w in T.edges() if {u, w} <= forest and {u, w} <= S
+                ),
+                "forest_components": len(_components_within(T, forest)),
+            }
+        )
+    excess = doc["excess_sum"] = sum(c - p for c in blue_counts)
+    short = [t for t, c in enumerate(blue_counts, 1) if c < p]
+    if short:
+        doc["reason"] = (
+            f"step {short[0]}: vertex {ordering[short[0] - 1]} has fewer than "
+            f"{p} forest neighbors"
+        )
+    elif remainder < excess:
+        doc["reason"] = f"excess {excess} exceeds remainder {remainder}"
+    elif seed_edges != remainder - excess:
+        doc["reason"] = (
+            f"seed set induces {seed_edges} edges, certificate needs {remainder - excess}"
+        )
+    else:
+        doc["holds"], doc["reason"] = True, None
+    return doc
+
+
 def random_tree(n: int, rng: random.Random) -> Graph:
     """Uniform random labeled tree via a random parent-code sequence."""
     if n == 1:

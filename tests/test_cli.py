@@ -183,6 +183,17 @@ def test_edges_file_input(tmp_path, capsys):
     assert code == 0 and doc["value"] == 1
 
 
+def test_tree_p2_on_long_path(tmp_path, capsys):
+    from spreadnum import SpreadParams, path, serialize_edge_list, sigma_tree
+
+    g = path(2000)
+    f = tmp_path / "path.edges"
+    f.write_text(serialize_edge_list(g))
+    code, doc = run_json(capsys, "tree", "--edges", str(f), "--p", "2", "--q", "1")
+    assert code == 0 and doc["status"] == "exact"
+    assert doc["value"] == sigma_tree(g, SpreadParams(2, 1)).value == 1001
+
+
 def test_invalid_edges_file(tmp_path, capsys):
     f = tmp_path / "bad.edges"
     f.write_text("0 0\n")

@@ -10,8 +10,10 @@ from spreadnum import (
     INFINITY,
     BudgetExhausted,
     Graph,
+    Partition,
     SpreadParams,
     check_property_pnp,
+    closure,
     cycle,
     is_spreading_set,
     partition_is_valid,
@@ -27,7 +29,7 @@ from spreadnum import (
     verify_trace,
 )
 
-from conftest import random_tree
+from conftest import naive_is_spreading, naive_pnp_report, random_tree
 
 P = SpreadParams
 
@@ -55,7 +57,6 @@ def test_rooted_tree_layering():
     assert rt.root == 0  # lowest-id non-leaf
     assert rt.depth == (0, 1, 1, 1, 1)
     assert rt.parent == (-1, 0, 0, 0, 0)
-    assert rt.layers() == [[0], [1, 2, 3, 4]]
 
     rt = RootedTree.from_tree(path(4), root=3)
     assert rt.depth == (3, 2, 1, 0)
@@ -114,6 +115,32 @@ def test_partition_legality_random():
         q = rng.randrange(1, 4)
         parts = subtree_partition(t, q)
         assert partition_is_valid(t, q, parts)
+
+
+def test_partition_is_valid_rejects_broken_partitions():
+    def parts(*sets):
+        return Partition(tuple(frozenset(s) for s in sets))
+
+    assert partition_is_valid(path(5), 1, parts({0, 1, 2}, {3, 4}))
+    assert not partition_is_valid(path(5), 1, parts(range(5), ()))  # empty part
+    assert not partition_is_valid(path(5), 1, parts({0, 1, 2}, {2, 3, 4}))  # overlap
+    assert not partition_is_valid(path(5), 1, parts({0, 1, 2}, {3}))  # 4 uncovered
+    assert not partition_is_valid(path(5), 1, parts(range(5), {7}))  # unknown vertex
+    assert not partition_is_valid(path(5), 1, parts({0, 2}, {1}, {3, 4}))  # disconnected
+    assert not partition_is_valid(star(4), 1, parts(range(4)))  # center degree 3 > 2
+    assert partition_is_valid(star(4), 2, parts(range(4)))
+
+
+def test_partition_is_valid_rejects_non_tree():
+    # the edge-count connectivity test only holds on trees
+    with pytest.raises(ValueError):
+        partition_is_valid(cycle(4), 3, Partition((frozenset(range(4)),)))
+    with pytest.raises(ValueError):
+        partition_is_valid(
+            Graph.from_edges(4, [(0, 1), (2, 3)]),
+            1,
+            Partition((frozenset({0, 1}), frozenset({2, 3}))),
+        )
 
 
 def test_partition_count_matches_exact_forcing():
@@ -253,6 +280,41 @@ def test_sigma_tree_independent_of_q_when_p_large():
                 assert is_spreading_set(t, P(p, q), res.witness)
 
 
+def _p2plus_corpus(chained: Graph) -> list[Graph]:
+    rng = random.Random(61)
+    trees = [random_tree(n, rng) for n in range(1, 15) for _ in range(4)]
+    trees += [path(n) for n in (1, 2, 3, 6, 11)] + [star(n) for n in (2, 5, 9)]
+    trees += [_spider(3, 2), _spider(4, 3), chained]
+    trees += [tight_tree(n, p) for p in (2, 3, 4) for n in (p + 1, p + 6)]
+    return trees
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_sigma_tree_p2plus_matches_solver(p, chained_tight_tree):
+    for t in _p2plus_corpus(chained_tight_tree):
+        value = sigma_exact(t, P(p, 1)).value
+        for q in (1, 2, 3, INFINITY):
+            res = sigma_tree(t, P(p, q))
+            assert res.value == value, (t, p, q)
+            assert naive_is_spreading(t, P(p, q), res.witness)
+        assert tree_lower_bound(t.n, p) <= value
+        if t.n >= 5:
+            assert value <= tree_upper_bound(t, p, 1).bound
+
+
+def test_sigma_tree_p2plus_scales_linearly():
+    import time
+
+    t = random_tree(20000, random.Random(67))
+    start = time.time()
+    for p in (2, 3):
+        res = sigma_tree(t, P(p, 1))
+        assert is_spreading_set(t, P(p, 1), res.witness)
+        assert verify_trace(t, P(p, 1), res.trace)
+        assert tree_lower_bound(t.n, p) <= res.value <= tree_upper_bound(t, p, 1).bound
+    assert time.time() - start < 10
+
+
 def test_sigma_tree_rejects_non_tree():
     with pytest.raises(ValueError):
         sigma_tree(cycle(5), P(2, 1))
@@ -376,6 +438,37 @@ def test_certificate_report_json_golden(chained_tight_tree):
             },
         ],
     }
+
+
+def test_certificate_matches_naive_oracle(chained_tight_tree):
+    cases = []
+    for p in (2, 3, 4):
+        for n in (p + 1, p + 4, 3 * p + 2, 25):
+            t = tight_tree(n, p)
+            seeds = range(tree_lower_bound(n, p))
+            _, trace = closure(t, P(p, INFINITY), seeds)
+            cases.append((t, p, seeds, trace.forced))
+    cases.append((chained_tight_tree, 3, range(8), (8, 9, 10)))
+    cases.append((chained_tight_tree, 3, range(8), (9, 8, 10)))
+    rng = random.Random(71)
+    for _ in range(200):
+        n = rng.randrange(2, 16)
+        t = random_tree(n, rng)
+        p = rng.choice((2, 3, 4))
+        k = min(n, max(0, tree_lower_bound(n, p) + rng.choice((-1, 0, 0, 1))))
+        seeds = rng.sample(range(n), k)
+        rest = [v for v in range(n) if v not in seeds]
+        rng.shuffle(rest)
+        cases.append((t, p, seeds, rest))
+        final, trace = closure(t, P(p, INFINITY), seeds)
+        if len(final) == n:  # every step sees p forest neighbors
+            cases.append((t, p, seeds, trace.forced))
+    verdicts = set()
+    for t, p, seeds, order in cases:
+        doc = check_property_pnp(t, p, seeds, order).to_json()
+        assert doc == naive_pnp_report(t, p, seeds, order)
+        verdicts.add(doc["reason"].split()[0] if doc["reason"] else "holds")
+    assert verdicts == {"holds", "step", "seed"}  # "seed set has size ..."
 
 
 def test_certificate_wrong_size_reports_not_raises():
