@@ -116,12 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spread",
         description="Spreading numbers on graphs: closures, exact values, witnesses.",
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for randomized suites (current subcommands are deterministic)",
-    )
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("closure", help="run the rule to fixpoint, emit the trace")
@@ -283,8 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         doc = {"status": "budget_exhausted", "evaluations": exc.evaluations}
         if exc.lower_bound is not None:
             doc["lower_bound"] = exc.lower_bound
-        if exc.upper_bound is not None:
-            doc["upper_bound"] = exc.upper_bound
         return _emit(doc, EXIT_BUDGET)
     except OpenProblemError as exc:
         return _emit({"status": "open", "note": str(exc)}, EXIT_OPEN)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .graphs import Graph
@@ -110,6 +111,18 @@ class SigmaResult:
         return doc
 
 
+def _seeded(adj, n: int, seeds: Iterable[int]) -> tuple[bytearray, list[int]]:
+    """The blue set ``seeds`` and its blue-neighbor counts ``bc``."""
+    blue = bytearray(n)
+    bc = [0] * n
+    for v in seeds:
+        if not blue[v]:
+            blue[v] = 1
+            for u in adj[v]:
+                bc[u] += 1
+    return blue, bc
+
+
 def _close(
     adj: tuple[tuple[int, ...], ...],
     deg: tuple[int, ...],
@@ -126,14 +139,7 @@ def _close(
     moment it becomes eligible, and eligibility is monotone, so popping the
     heap yields the lowest-id eligible vertex at every step.
     """
-    blue = bytearray(n)
-    for v in seeds:
-        blue[v] = 1
-    bc = [0] * n
-    for v in range(n):
-        if blue[v]:
-            for u in adj[v]:
-                bc[u] += 1
+    blue, bc = _seeded(adj, n, seeds)
     queued = bytearray(blue)
     heap = []
     for w in range(n):
@@ -242,7 +248,7 @@ def closure(
     blue, steps = _close(
         G.adj, G.degrees, G.n, params.p, params.effective_q(G.n), S, record=True
     )
-    final = frozenset(v for v in range(G.n) if blue[v])
+    final = frozenset(compress(range(G.n), blue))
     return final, SpreadTrace(initial=S, steps=tuple(steps), final=final)
 
 
@@ -250,7 +256,7 @@ def closure_set(G: Graph, params: SpreadParams, seeds: Iterable[int]) -> frozens
     """Like :func:`closure` but skips trace bookkeeping."""
     S = _check_seeds(G, seeds)
     blue, _ = _close(G.adj, G.degrees, G.n, params.p, params.effective_q(G.n), S)
-    return frozenset(v for v in range(G.n) if blue[v])
+    return frozenset(compress(range(G.n), blue))
 
 
 def is_spreading_set(G: Graph, params: SpreadParams, seeds: Iterable[int]) -> bool:
@@ -258,6 +264,40 @@ def is_spreading_set(G: Graph, params: SpreadParams, seeds: Iterable[int]) -> bo
     S = _check_seeds(G, seeds)
     blue, _ = _close(G.adj, G.degrees, G.n, params.p, params.effective_q(G.n), S)
     return all(blue)
+
+
+_ANY = object()  # a forcer that stands for any usable blue neighbor
+
+
+def _replay(G: Graph, params: SpreadParams, initial, steps) -> bytearray | None:
+    """Color ``initial``, then each ``(forcer, forced)`` step in order, with
+    blue-neighbor counts ``bc`` as in :func:`_close`; None at the first step
+    that breaks the rule.  Forcer :data:`_ANY` accepts any usable blue
+    neighbor.  An id outside ``0..n-1`` fails instead of raising.
+    """
+    n, adj, deg = G.n, G.adj, G.degrees
+    p, qe = params.p, params.effective_q(n)
+    if not all(isinstance(v, int) and 0 <= v < n for v in initial):
+        return None
+    blue, bc = _seeded(adj, n, initial)
+    for forcer, w in steps:
+        if not (isinstance(w, int) and 0 <= w < n) or blue[w] or bc[w] < p:
+            return None
+        if forcer is _ANY:
+            forcers = adj[w]
+        elif isinstance(forcer, int) and 0 <= forcer < n and forcer in adj[w]:
+            forcers = (forcer,)
+        else:
+            return None
+        for u in forcers:
+            if blue[u] and deg[u] - bc[u] <= qe:
+                break
+        else:
+            return None
+        blue[w] = 1
+        for u in adj[w]:
+            bc[u] += 1
+    return blue
 
 
 def check_spreading_sequence(
@@ -276,40 +316,12 @@ def check_spreading_sequence(
     seq = list(sequence)
     if len(set(seq)) != len(seq) or set(seq) != set(range(G.n)) - S:
         raise ValueError("sequence is not a permutation of the non-seed vertices")
-    qe = params.effective_q(G.n)
-    deg = G.degrees
-    blue = bytearray(G.n)
-    bc = [0] * G.n
-    for v in S:
-        blue[v] = 1
-    for v in range(G.n):
-        if blue[v]:
-            for u in G.adj[v]:
-                bc[u] += 1
-    for w in seq:
-        if bc[w] < params.p:
-            return False
-        if not any(blue[u] and deg[u] - bc[u] <= qe for u in G.adj[w]):
-            return False
-        blue[w] = 1
-        for u in G.adj[w]:
-            bc[u] += 1
-    return True
+    return _replay(G, params, S, ((_ANY, w) for w in seq)) is not None
 
 
 def verify_trace(G: Graph, params: SpreadParams, trace: SpreadTrace) -> bool:
-    """Replay a trace step by step and confirm every force was legal."""
-    qe = params.effective_q(G.n)
-    deg = G.degrees
-    blue = set(trace.initial)
-    for forcer, forced in trace.steps:
-        if forced in blue or forcer not in blue:
-            return False
-        if forcer not in G.adj[forced]:
-            return False
-        if sum(u in blue for u in G.adj[forced]) < params.p:
-            return False
-        if sum(u not in blue for u in G.adj[forcer]) > qe:
-            return False
-        blue.add(forced)
-    return blue == set(trace.final)
+    """Replay a trace: every force must be legal and end at ``final``."""
+    blue = _replay(G, params, trace.initial, trace.steps)
+    if blue is None:
+        return False
+    return frozenset(compress(range(G.n), blue)) == frozenset(trace.final)

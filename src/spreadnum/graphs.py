@@ -213,22 +213,32 @@ def star(n: int) -> Graph:
 
 def cartesian_product(G: Graph, H: Graph) -> Graph:
     """Cartesian product; vertex ``(g, h)`` gets id ``g * H.n + h``."""
-    edges = []
-    for g in range(G.n):
-        for h, h2 in H.edges():
-            edges.append((g * H.n + h, g * H.n + h2))
-    for g, g2 in G.edges():
-        for h in range(H.n):
-            edges.append((g * H.n + h, g2 * H.n + h))
-    return Graph.from_edges(G.n * H.n, edges)
+    k = H.n
+    edges = [(g * k + h, g * k + h2) for g in range(G.n) for h, h2 in H.edges()]
+    edges += [(g * k + h, g2 * k + h) for g, g2 in G.edges() for h in range(k)]
+    return Graph.from_edges(G.n * k, edges)
 
 
 def grid(m: int, n: int) -> Graph:
     """Grid with ``m`` columns and ``n`` rows; cell ``(c, r)`` (1-based) has
-    id ``(c - 1) * n + (r - 1)``."""
+    id ``(c - 1) * n + (r - 1)``.  Equals ``cartesian_product(path(m),
+    path(n))``, built directly: ``v``'s neighbors are ``(v - n, v - 1, v + 1,
+    v + n)``, already sorted, clipped at the border."""
     _require_size("grid", m, 1)
     _require_size("grid", n, 1)
-    return cartesian_product(path(m), path(n))
+    cells = m * n
+    adj = []
+    for v in range(cells):
+        r = v % n
+        nbrs = [v - n] if v >= n else []
+        if r:
+            nbrs.append(v - 1)
+        if r < n - 1:
+            nbrs.append(v + 1)
+        if v + n < cells:
+            nbrs.append(v + n)
+        adj.append(tuple(nbrs))
+    return Graph(cells, tuple(adj))
 
 
 def _require_size(family: str, value: int, minimum: int) -> None:

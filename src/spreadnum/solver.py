@@ -26,22 +26,15 @@ class BudgetExhausted(RuntimeError):
     """Search gave up before proving a value; never reports a wrong exact.
 
     ``lower_bound`` is the best cardinality proven unreachable plus one (or
-    the static bound) at the moment the budget ran out; ``upper_bound`` is a
-    feasible value if one was already found.
+    the static bound) at the moment the budget ran out.
     """
 
     def __init__(
-        self,
-        message: str,
-        *,
-        evaluations: int,
-        lower_bound: int | None = None,
-        upper_bound: int | None = None,
+        self, message: str, *, evaluations: int, lower_bound: int | None = None
     ) -> None:
         super().__init__(message)
         self.evaluations = evaluations
         self.lower_bound = lower_bound
-        self.upper_bound = upper_bound
 
 
 #: Evaluation cap applied when no budget is given, so a search on an

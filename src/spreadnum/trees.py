@@ -330,11 +330,11 @@ def check_property_pnp(
 
     The growing forest starts from the first ordered vertex plus every seed
     component adjacent to it; each later vertex joins together with the
-    still-unused seed components adjacent to it.  Requirements: every
-    ordered vertex has at least ``p`` neighbors inside its own forest, the
-    total excess over ``p`` fits inside ``rem(n-1, p)``, and the seed set
-    spends exactly the leftover remainder on internal edges.  Each step's
-    counts are running totals over one union-find: near-linear time.
+    still-unused seed components adjacent to it.  Requirements: the seed
+    set has the lower-bound size and every ordered vertex has at least
+    ``p`` neighbors inside its own forest (the size then makes the excess
+    over ``p`` and the seed set's edges add up to ``rem(n-1, p)``).  Each
+    step's counts are running totals over one union-find: near-linear time.
     """
     _require_tree(T)
     if not isinstance(p, int) or p < 2:
@@ -420,20 +420,16 @@ def check_property_pnp(
         # seed edges + components + accumulated forced-neighbor counts.
         assert forest_size == k_t + c_t + blue_total, "forest balance broken"
     excess = sum(c - p for c in blue_counts)
-    if ordering:
-        assert all(in_forest), "complete ordering must absorb every seed"
-        assert n - 1 == p * len(ordering) + seed_edges_total + excess
+    assert not ordering or all(in_forest), "complete ordering must absorb every seed"
+    # Each edge of T is a seed edge or a forced-neighbor edge, and |S| = need
+    # leaves floor((n-1)/p) ordered vertices: seed edges + excess is exactly
+    # rem(n-1, p), so a certificate whose steps all reach p always holds.
+    assert n - 1 == p * len(ordering) + seed_edges_total + excess
+    assert seed_edges_total + excess == remainder
     reason = None
     if any(c < p for c in blue_counts):
         first = next(t for t, c in enumerate(blue_counts, 1) if c < p)
         reason = f"step {first}: vertex {ordering[first - 1]} has fewer than {p} forest neighbors"
-    elif remainder < excess:
-        reason = f"excess {excess} exceeds remainder {remainder}"
-    elif seed_edges_total != remainder - excess:
-        reason = (
-            f"seed set induces {seed_edges_total} edges, certificate needs "
-            f"{remainder - excess}"
-        )
     return PnpReport(
         holds=reason is None,
         reason=reason,

@@ -67,6 +67,32 @@ def naive_canonical_trace(G: Graph, params: SpreadParams, seeds):
         blue.add(step[1])
 
 
+def naive_replay(G: Graph, params: SpreadParams, initial, steps):
+    """Reference replay with recounts from a set: the final blue set, or None.
+
+    ``steps`` are ``(forcer, forced)`` pairs; forcer None accepts any blue
+    neighbor with at most ``q`` white neighbors.  Any id outside the graph
+    fails the replay.
+    """
+    vertices = set(range(G.n))
+    blue = set(initial)
+    if not blue <= vertices:
+        return None
+    qe = params.effective_q(G.n)
+    for forcer, w in steps:
+        if w not in vertices or w in blue:
+            return None
+        if sum(u in blue for u in G.adj[w]) < params.p:
+            return None
+        usable = [
+            u for u in G.adj[w] if u in blue and sum(x not in blue for x in G.adj[u]) <= qe
+        ]
+        if not usable or (forcer is not None and forcer not in usable):
+            return None
+        blue.add(w)
+    return frozenset(blue)
+
+
 def naive_sigma(G: Graph, params: SpreadParams) -> int:
     """Reference minimum by unpruned brute force over all subsets."""
     for k in range(0, G.n + 1):

@@ -220,6 +220,15 @@ def test_unknown_subcommand_usage_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--seed", "1", "grid", "--p", "2", "--q", "1", "--m", "3", "--n", "3"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage" in captured.err
+
+
 def test_output_is_byte_stable(capsys):
     args = ["solve", "--family", "grid", "3", "3", "--p", "3", "--q", "1"]
     _, first, _ = run_cli(capsys, *args)

@@ -26,7 +26,7 @@ from spreadnum import (
 )
 from spreadnum.engine import _close, _resume
 
-from conftest import naive_closure, random_graph, random_tree
+from conftest import naive_closure, naive_replay, random_graph, random_tree
 
 P = SpreadParams
 
@@ -249,6 +249,16 @@ def test_verify_trace_rejects_bad_step():
         initial=frozenset({0}), steps=((0, 2),), final=frozenset({0, 2})
     )
     assert not verify_trace(g, P(1, 1), bad)  # 0 is not adjacent to 2
+    unnamed = SpreadTrace(
+        initial=frozenset({0}), steps=((None, 1),), final=frozenset({0, 1})
+    )
+    assert not verify_trace(g, P(1, 1), unnamed)  # a trace names every forcer
+    # The middle vertex has two white neighbors when it forces the first.
+    both = SpreadTrace(
+        initial=frozenset({1}), steps=((1, 0), (1, 2)), final=frozenset({0, 1, 2})
+    )
+    assert not verify_trace(g, P(1, 1), both)
+    assert verify_trace(g, P(1, 2), both)
 
 
 def test_trace_json_round_trip():
@@ -346,3 +356,85 @@ def test_resume_from_closure_matches_fresh_closure(case):
         assert bc == counts(expected)
     final = frozenset(w for w in range(g.n) if expected[w])
     assert final == naive_closure(g, params, seeds + [v], rng)
+
+
+_TAMPERS = (
+    "none",
+    "swap",
+    "non_neighbor_forcer",
+    "other_neighbor_forcer",
+    "drop",
+    "out_of_range",
+    "seed_in_sequence",
+)
+
+
+@st.composite
+def _replay_cases(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph.from_edges(n, edges)
+    params = P(draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3, INFINITY])))
+    seeds = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
+    _, trace = closure(g, params, seeds)
+    initial, steps, final = set(trace.initial), list(trace.steps), set(trace.final)
+    tamper = draw(st.sampled_from(_TAMPERS))
+    if tamper == "swap" and len(steps) >= 2:
+        index = st.integers(0, len(steps) - 1)
+        i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        steps[i], steps[j] = steps[j], steps[i]
+    elif tamper == "non_neighbor_forcer" and steps:
+        i = draw(st.integers(0, len(steps) - 1))
+        w = steps[i][1]
+        others = [u for u in range(n) if u != w and u not in g.adj[w]]
+        if others:
+            steps[i] = (draw(st.sampled_from(others)), w)
+    elif tamper == "other_neighbor_forcer" and steps:
+        i = draw(st.integers(0, len(steps) - 1))
+        forcer, w = steps[i]
+        # A blue neighbor can only be wrong by having too many white ones.
+        blue = initial.union(x for _, x in steps[:i])
+        others = [u for u in g.adj[w] if u != forcer and u in blue]
+        if others:
+            steps[i] = (draw(st.sampled_from(others)), w)
+    elif tamper == "drop" and steps:
+        del steps[draw(st.integers(0, len(steps) - 1))]
+    elif tamper == "out_of_range":
+        bad = draw(st.sampled_from([-1, -n, n, n + 3]))
+        where = draw(st.sampled_from(["initial", "forcer", "forced", "final"]))
+        if where == "initial":
+            initial.add(bad)
+        elif where == "final":
+            final.add(bad)
+        elif steps:
+            i = draw(st.integers(0, len(steps) - 1))
+            forcer, w = steps[i]
+            steps[i] = (bad, w) if where == "forcer" else (forcer, bad)
+    elif tamper == "seed_in_sequence":
+        s = draw(st.sampled_from(sorted(initial)))
+        forcer = draw(st.sampled_from(g.adj[s] or (s,)))
+        steps.insert(draw(st.integers(0, len(steps))), (forcer, s))
+    # Steps that run past a stalled closure give a permutation that fails
+    # the rule rather than the permutation check.
+    if draw(st.booleans()):
+        for w in draw(st.permutations(sorted(set(range(n)) - final))):
+            steps.append((draw(st.integers(0, n - 1)), w))
+            final.add(w)
+    return g, params, SpreadTrace(frozenset(initial), tuple(steps), frozenset(final))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_replay_cases())
+def test_trace_and_sequence_checks_match_naive_replay(case):
+    g, params, trace = case
+    expected = naive_replay(g, params, trace.initial, trace.steps)
+    assert verify_trace(g, params, trace) == (expected == trace.final)
+    seq = trace.forced
+    rest = set(range(g.n)) - set(trace.initial)
+    if not set(trace.initial) <= set(range(g.n)) or sorted(seq) != sorted(rest):
+        with pytest.raises(ValueError):
+            check_spreading_sequence(g, params, trace.initial, seq)
+        return
+    bare = naive_replay(g, params, trace.initial, [(None, w) for w in seq])
+    assert check_spreading_sequence(g, params, trace.initial, seq) == (bare is not None)

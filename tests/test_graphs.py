@@ -121,8 +121,15 @@ def test_product_of_two_edges_is_a_square():
 
 
 def test_grid_matches_product_vertex_for_vertex():
-    for m, n in [(1, 1), (2, 3), (3, 3), (4, 2), (5, 4)]:
-        assert grid(m, n) == cartesian_product(path(m), path(n))
+    for m in range(1, 13):
+        for n in range(1, 13):
+            g = grid(m, n)
+            assert g == cartesian_product(path(m), path(n))
+            # Cell (c, r), 0-based, is joined to (c, r + 1) and (c + 1, r).
+            edges = [
+                (c * n + r, c * n + r + 1) for c in range(m) for r in range(n - 1)
+            ] + [((c - 1) * n + r, c * n + r) for c in range(1, m) for r in range(n)]
+            assert g == Graph.from_edges(m * n, edges)
 
 
 def test_grid_id_convention():
