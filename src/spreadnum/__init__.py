@@ -47,7 +47,6 @@ from .graphs import (
     FamilySpec,
     Graph,
     GraphFormatError,
-    StructureReport,
     build_family,
     cartesian_product,
     complete,
@@ -59,7 +58,6 @@ from .graphs import (
     path,
     serialize_edge_list,
     star,
-    structure_report,
 )
 from .solver import (
     DEFAULT_EVALUATION_BUDGET,
@@ -106,7 +104,6 @@ __all__ = [
     "SpreadParams",
     "SpreadTrace",
     "SpreadingCertificate",
-    "StructureReport",
     "UpperBoundReport",
     "blue_perimeter",
     "build_family",
@@ -142,7 +139,6 @@ __all__ = [
     "sigma_exact",
     "sigma_tree",
     "star",
-    "structure_report",
     "subtree_partition",
     "tight_tree",
     "tree_lower_bound",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .engine import SigmaResult, SpreadParams, is_spreading_set
 from .graphs import FamilySpec, grid
-from .solver import DEFAULT_EVALUATION_BUDGET, Budget, BudgetExhausted, sigma_exact
+from .solver import BudgetExhausted, _as_budget, sigma_exact
 
 
 class OpenProblemError(Exception):
@@ -292,7 +292,7 @@ def probe_grid_conjecture(m: int, n: int, budget: int | None = None) -> Conjectu
     either side unresolved (reported as None).
     """
     G = grid(m, n)
-    shared = Budget(DEFAULT_EVALUATION_BUDGET if budget is None else budget)
+    shared = _as_budget(budget)
     values: list[int | None] = []
     for qq in (3, 4):
         try:

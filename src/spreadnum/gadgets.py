@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .engine import SpreadParams, is_spreading_set
 from .graphs import Graph
-from .solver import DEFAULT_EVALUATION_BUDGET, Budget, enumerate_minimum_sets, sigma_exact
+from .solver import _as_budget, enumerate_minimum_sets, sigma_exact
 
 
 def build_qforcing_gadget(G: Graph, q: int) -> Graph:
@@ -130,7 +130,7 @@ def certify_qforcing_gadget(
     set of ``G`` (up to ``lift_limit`` of them) must q-force the gadget
     as-is, since original vertices keep their ids.
     """
-    shared = Budget(DEFAULT_EVALUATION_BUDGET if budget is None else budget)
+    shared = _as_budget(budget)
     zero = sigma_exact(G, SpreadParams(1, 1), shared).value
     gadget = build_qforcing_gadget(G, q)
     qf_params = SpreadParams(1, q)
@@ -160,7 +160,7 @@ def certify_spreading_gadget(
     every candidate automatically; the constructive lift of a minimum
     q-forcing set is that set plus all leaves.
     """
-    shared = Budget(DEFAULT_EVALUATION_BUDGET if budget is None else budget)
+    shared = _as_budget(budget)
     qf_params = SpreadParams(1, q)
     forcing = sigma_exact(G, qf_params, shared).value
     gadget = build_spreading_gadget(G, p)

@@ -68,10 +68,6 @@ class Graph:
         return max(self.degrees, default=0)
 
     @cached_property
-    def min_degree(self) -> int:
-        return min(self.degrees, default=0)
-
-    @cached_property
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
 
@@ -115,16 +111,15 @@ class Graph:
         return self.is_connected and self.edge_count == self.n - 1
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on ``vertices`` plus the new->old id mapping."""
+        """Induced subgraph on ``vertices`` plus the new->old id mapping.
+
+        Built directly: ``pos`` is monotone, so each neighbor tuple stays
+        sorted.
+        """
         old = tuple(sorted(set(vertices)))
         pos = {v: i for i, v in enumerate(old)}
-        edges = [
-            (pos[u], pos[v])
-            for u in old
-            for v in self.adj[u]
-            if v > u and v in pos
-        ]
-        return Graph.from_edges(len(old), edges), old
+        adj = tuple(tuple(pos[u] for u in self.adj[v] if u in pos) for v in old)
+        return Graph(len(old), adj), old
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -306,32 +301,3 @@ def family_from_tokens(tokens: list[str]) -> FamilySpec:
         raise ValueError(f"non-integer family parameter in {raw_args}") from None
     return FamilySpec(name, args)
 
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Degree extremes, connectivity and components of a graph."""
-
-    max_degree: int
-    min_degree: int
-    is_connected: bool
-    is_tree: bool
-    components: tuple[frozenset[int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "max_degree": self.max_degree,
-            "min_degree": self.min_degree,
-            "is_connected": self.is_connected,
-            "is_tree": self.is_tree,
-            "components": [sorted(c) for c in self.components],
-        }
-
-
-def structure_report(G: Graph) -> StructureReport:
-    return StructureReport(
-        max_degree=G.max_degree,
-        min_degree=G.min_degree,
-        is_connected=G.is_connected,
-        is_tree=G.is_tree,
-        components=tuple(G.components()),
-    )

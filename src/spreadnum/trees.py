@@ -9,15 +9,15 @@ spreading number exactly ``ceil(((p-1)n + 1) / p)`` are recognized by a
 set-plus-ordering certificate ("property P(n,p)"): a seed set of that size
 together with an ordering of the remaining vertices in which each one sees
 at least ``p`` earlier-blue neighbors, subject to two edge-counting balance
-conditions.  Everything but the certificate search runs in near-linear
-time and checks its own result.
+conditions.  A certificate exists exactly when the spreading number meets
+that bound, so the search for one is the bottom-up pass plus one check.
+Everything runs in near-linear time and checks its own result.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
 from .engine import (
     INFINITY,
@@ -26,7 +26,6 @@ from .engine import (
     closure,
 )
 from .graphs import Graph
-from .solver import BudgetExhausted
 
 
 def _require_tree(T: Graph) -> None:
@@ -442,43 +441,25 @@ def check_property_pnp(
     )
 
 
-def search_property_pnp(T: Graph, p: int, max_n: int = 14) -> PnpReport | None:
-    """Exhaustively look for a tightness certificate; None if there is none.
+def search_property_pnp(T: Graph, p: int) -> PnpReport | None:
+    """A tightness certificate for the tree, or None if it has none.
 
-    Candidate seed sets of the required size are enumerated (vertices of
-    degree below ``p`` are always included); an ordering exists iff the set
-    spreads under ``(p, infinity)``, because once a vertex has ``p`` blue
-    neighbors it keeps them, so greedy extension never needs to backtrack.
-    The found/none outcome is cross-checked against the tree's spreading
-    number, which equals the lower bound exactly when a certificate exists.
+    A certificate's seed set spreads under ``(p, infinity)``, so one exists
+    only if the spreading number meets the lower bound.  Conversely, in the
+    closure order of a spreading set of the bound's size every vertex has
+    ``p`` blue neighbors, all in its forest: each is an earlier ordered
+    vertex or a seed whose component the vertex pulls at that step.  So the
+    minimum seed set of :func:`sigma_tree` with its closure order is a
+    certificate whenever the bound is met (linear time).
     """
     _require_tree(T)
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"certificate requires integer p >= 2, got {p!r}")
-    if T.n > max_n:
-        raise BudgetExhausted(
-            f"certificate search is desk-scale only (n <= {max_n})", evaluations=0
-        )
-    n = T.n
-    need = tree_lower_bound(n, p)
-    deg = T.degrees
-    forced = [v for v in range(n) if deg[v] < p]
-    free = [v for v in range(n) if deg[v] >= p]
-    params = SpreadParams(p, INFINITY)
-    report: PnpReport | None = None
-    if len(forced) <= need and need - len(forced) <= len(free):
-        for combo in combinations(free, need - len(forced)):
-            seeds = frozenset(forced) | frozenset(combo)
-            final, trace = closure(T, params, seeds)
-            if len(final) != n:
-                continue
-            report = check_property_pnp(T, p, seeds, trace.forced)
-            assert report.holds, "spreading order must certify"
-            break
-    attained = sigma_tree(T, SpreadParams(p, 1)).value == need
-    assert attained == (report is not None), (
-        "certificate existence must match attainment of the lower bound"
-    )
+    res = sigma_tree(T, SpreadParams(p, INFINITY))
+    if res.value != tree_lower_bound(T.n, p):
+        return None
+    report = check_property_pnp(T, p, res.witness, res.trace.forced)
+    assert report.holds, "spreading order must certify"
     return report
 
 

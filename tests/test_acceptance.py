@@ -149,6 +149,12 @@ def test_criterion_4_tree_bounds_and_characterization():
             assert upper.attained == (value == upper.bound), (t, p)
             certificate = search_property_pnp(t, p)
             assert (certificate is not None) == (value == tree_lower_bound(n, p))
+            exact = sigma_exact(t, P(p, INFINITY)).value
+            assert (certificate is not None) == (exact == tree_lower_bound(n, p))
+            if certificate is not None:
+                assert certificate.holds
+                spread = naive_closure(t, P(p, INFINITY), certificate.seed_set)
+                assert spread == frozenset(range(n))
             checked += 1
     # the two 11-vertex reference trees certify at exactly the bound
     generated = tight_tree(11, 3)

@@ -165,6 +165,12 @@ def test_property_pnp_search_and_check(capsys):
     assert code == 0 and doc == {"found": False}
 
 
+def test_property_pnp_search_beyond_small_trees(capsys):
+    code, doc = run_json(capsys, "property-pnp", "--family", "path", "20", "--p", "2")
+    assert code == 0 and doc["found"] is True and doc["holds"] is True
+    assert len(doc["set"]) == 11 and len(doc["ordering"]) == 9
+
+
 def test_solve_budget_exhausted_exit(capsys):
     code, doc = run_json(
         capsys, "solve", "--family", "grid", "3", "3", "--p", "2", "--q", "2",

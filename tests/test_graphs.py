@@ -21,7 +21,6 @@ from spreadnum import (
     path,
     serialize_edge_list,
     star,
-    structure_report,
 )
 
 from conftest import random_graph
@@ -89,8 +88,8 @@ def test_round_trip_degenerate_graphs():
     assert parse_edge_list(serialize_edge_list(empty)) == empty
     isolated = Graph.from_edges(3, [])
     assert parse_edge_list(serialize_edge_list(isolated)) == isolated
-    rep = structure_report(empty)
-    assert not rep.is_connected and not rep.is_tree and rep.components == ()
+    assert not empty.is_connected and not empty.is_tree
+    assert empty.components() == [] and empty.max_degree == 0
 
 
 def test_from_edges_rejects_bad_input():
@@ -192,30 +191,28 @@ def test_family_from_tokens():
 
 
 def test_structure_report_path():
-    rep = structure_report(path(5))
-    assert rep.max_degree == 2 and rep.min_degree == 1
-    assert rep.is_tree and rep.is_connected
-    assert rep.components == (frozenset(range(5)),)
+    g = path(5)
+    assert g.max_degree == 2 and min(g.degrees) == 1
+    assert g.is_tree and g.is_connected
+    assert g.components() == [frozenset(range(5))]
 
 
 def test_structure_report_cycle():
-    rep = structure_report(cycle(6))
-    assert rep.max_degree == rep.min_degree == 2
-    assert not rep.is_tree
+    g = cycle(6)
+    assert g.max_degree == 2 and set(g.degrees) == {2}
+    assert g.is_connected and not g.is_tree
 
 
 def test_structure_report_hub_counterexample(hub_counterexample):
-    rep = structure_report(hub_counterexample)
-    assert rep.max_degree == 4
-    assert not rep.is_tree  # contains the cycle 6,1,8,9,3,7
-    assert rep.is_connected
+    assert hub_counterexample.max_degree == 4
+    assert not hub_counterexample.is_tree  # contains the cycle 6,1,8,9,3,7
+    assert hub_counterexample.is_connected
 
 
 def test_structure_report_disconnected():
     g = Graph.from_edges(5, [(0, 1), (2, 3)])
-    rep = structure_report(g)
-    assert not rep.is_connected
-    assert [sorted(c) for c in rep.components] == [[0, 1], [2, 3], [4]]
+    assert not g.is_connected and not g.is_tree
+    assert [sorted(c) for c in g.components()] == [[0, 1], [2, 3], [4]]
 
 
 def test_bipartite_layout():
@@ -228,3 +225,13 @@ def test_induced_subgraph():
     sub, old = g.induced({1, 2, 3})
     assert old == (1, 2, 3)
     assert list(sub.edges()) == [(0, 1), (1, 2)]
+    # the direct build equals from_edges on the relabelled induced edges
+    rng = random.Random(17)
+    for _ in range(100):
+        g = random_graph(rng.randrange(0, 12), rng.random(), rng)
+        keep = [v for v in range(g.n) if rng.random() < 0.6] * 2
+        sub, old = g.induced(keep)
+        pos = {v: i for i, v in enumerate(old)}
+        edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
+        assert old == tuple(sorted(set(keep)))
+        assert sub == Graph.from_edges(len(old), edges)

@@ -8,7 +8,6 @@ import pytest
 
 from spreadnum import (
     INFINITY,
-    BudgetExhausted,
     Graph,
     Partition,
     SpreadParams,
@@ -506,18 +505,31 @@ def test_search_finds_and_rejects():
 
 def test_search_agrees_with_attainment():
     rng = random.Random(31)
-    for _ in range(20):
-        n = rng.randrange(4, 11)
+    for _ in range(40):
+        n = rng.randrange(4, 15)
         t = random_tree(n, rng)
-        for p in (2, 3):
+        for p in (2, 3, 4):
             report = search_property_pnp(t, p)
-            attained = sigma_tree(t, P(p, 1)).value == tree_lower_bound(n, p)
+            bound = tree_lower_bound(n, p)
+            attained = sigma_tree(t, P(p, 1)).value == bound
             assert (report is not None) == attained
+            assert (report is not None) == (sigma_exact(t, P(p, INFINITY)).value == bound)
+            if report is not None:
+                assert report.holds
+                assert naive_is_spreading(t, P(p, INFINITY), report.seed_set)
 
 
-def test_search_desk_scale_guard():
-    with pytest.raises(BudgetExhausted):
-        search_property_pnp(path(20), 2)
+def test_search_scales_linearly():
+    import time
+
+    start = time.time()
+    big = search_property_pnp(tight_tree(20001, 3), 3)
+    assert big is not None and big.holds
+    assert len(big.seed_set) == tree_lower_bound(20001, 3)
+    long_path = search_property_pnp(path(2000), 2)
+    assert long_path is not None and long_path.holds
+    assert search_property_pnp(star(2000), 2) is None
+    assert time.time() - start < 10
 
 
 def test_tight_tree_input_validation():
