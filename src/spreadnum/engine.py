@@ -165,18 +165,25 @@ def _drain(
     queued: bytearray,
     heap: list[int],
     steps: list[tuple[int, int]] | None,
-) -> None:
-    """Color queued vertices lowest id first until the heap is empty.
+) -> int:
+    """Color queued vertices lowest id first until the heap is empty, and
+    return the sum of ``bc[w] - p`` over the colored vertices ``w``.
 
     Invariant: every eligible white vertex is queued, and ``queued`` marks
     exactly the blue and heaped vertices.  Coloring a vertex updates the
     counts around it and queues whatever that makes eligible, so the
     invariant survives each pop.  With ``steps`` the pop is attributed to
     its lowest-id usable blue neighbor.
+
+    The returned sum is the change in the edge potential
+    ``p * |white| - |edges with a white end|``: coloring ``w`` removes one
+    white vertex and the ``bc[w]`` edges to its blue neighbors.
     """
     push, pop = heapq.heappush, heapq.heappop
+    gain = 0
     while heap:
         w = pop(heap)
+        gain += bc[w] - p
         if steps is not None:
             forcer = -1
             for u in adj[w]:
@@ -208,6 +215,7 @@ def _drain(
                 if not queued[y] and bc[y] >= p:
                     push(heap, y)
                     queued[y] = 1
+    return gain
 
 
 def _resume(
@@ -218,18 +226,20 @@ def _resume(
     blue: bytearray,
     bc: list[int],
     v: int,
-) -> None:
+) -> int:
     """Add seed ``v`` to the fixpoint ``blue`` and run the rule to the new one.
 
     ``blue`` and ``bc`` must be a closure and its blue-neighbor counts (the
     all-white state is one); both are updated in place.  A fixpoint has no
     eligible white vertex, so coloring ``v`` as if it were forced keeps
     :func:`_drain`'s invariant, and by monotonicity the result is the
-    closure of the old blue set plus ``v``.  No trace is kept.
+    closure of the old blue set plus ``v``.  No trace is kept.  Returns
+    :func:`_drain`'s change in the edge potential, ``v``'s own
+    ``bc[v] - p`` included.
     """
     queued = bytearray(blue)
     queued[v] = 1
-    _drain(adj, deg, p, qe, blue, bc, queued, [v], None)
+    return _drain(adj, deg, p, qe, blue, bc, queued, [v], None)
 
 
 def _check_seeds(G: Graph, seeds: Iterable[int]) -> frozenset[int]:

@@ -11,6 +11,14 @@ colors is never added, because the set would close like one of the
 previous level, which failed or lies below the static bound.  Vertices of
 degree below ``p`` can never be forced and are fixed in every candidate,
 and components are solved independently.
+
+The edge potential ``H = p * |white| - |edges with a white end|`` prunes
+the search.  Coloring a vertex with ``c`` blue neighbors changes ``H`` by
+``c - p``, so a force never lowers it and a seed lowers it by at most
+``p``; it is 0 once every vertex is blue.  A prefix whose closure has
+``H > p * r`` with ``r`` seeds still to choose therefore has no spreading
+completion and is not extended.  At the all-white state this is the static
+bound ``|S| >= n - E/p``, the perimeter argument for grids at ``p = 3``.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ class BudgetExhausted(RuntimeError):
 #: Evaluation cap applied when no budget is given, so a search on an
 #: oversized graph reports exhaustion instead of running forever.  One
 #: evaluation is one resumed closure, a node of the subset search; the 5x5
-#: grid at (3, 3) takes about 432k of them.  Pass ``Budget(None)`` to lift it.
+#: grid at (3, 3) takes 579 of them.  Pass ``Budget(None)`` to lift it.
 DEFAULT_EVALUATION_BUDGET = 5_000_000
 
 
@@ -79,15 +87,18 @@ def lower_bound(G: Graph, params: SpreadParams) -> int:
     """Static lower bound on the spreading number; never exceeds it.
 
     Takes the best of: ``min(p, n)``; the number of vertices of degree below
-    ``p`` (they can never be forced); and, on trees with ``p >= 2``, the
-    ceiling of ``((p-1)n + 1) / p``.
+    ``p`` (they can never be forced); and the edge term ``ceil(n - E/p)``
+    (see the module docstring).  On trees the edge term is
+    ``ceil(((p-1)n + 1) / p)``, on ``m x n`` grids at ``p = 3`` it is
+    ``ceil((mn + m + n) / 3)``.
     """
     n = G.n
     p = params.p
-    lb = max(min(p, n), sum(1 for d in G.degrees if d < p))
-    if p >= 2 and G.is_tree:
-        lb = max(lb, ((p - 1) * n + p) // p)
-    return lb
+    return max(
+        min(p, n),
+        sum(1 for d in G.degrees if d < p),
+        -((G.edge_count - p * n) // p),
+    )
 
 
 def _spreading_sets(
@@ -101,8 +112,13 @@ def _spreading_sets(
     prefix keeps its closure, and a child resumes from it with one more
     seed.  A vertex the prefix closure already colors is never added: the
     set would close exactly like the set without it, one smaller, so it
-    cannot be a minimum spreading set.  Every resumed closure, the root's
-    included, costs one budget evaluation.
+    cannot be a minimum spreading set.  Each prefix also carries its edge
+    potential ``h`` (see the module docstring), which the resumes update
+    incrementally; a prefix with ``r`` seeds still to choose is extended
+    only if ``h <= p * r``.  This cuts only subtrees with no spreading
+    completion, so the sets found and their order do not depend on it.
+    Every resumed closure, the root's and the pruned ones included, costs
+    one budget evaluation.
     """
     n, p = G.n, params.p
     qe = params.effective_q(n)
@@ -114,27 +130,29 @@ def _spreading_sets(
     charge = budget.charge
 
     def extend(
-        blue: bytearray, bc: list[int], start: int, members: tuple[int, ...]
+        blue: bytearray, bc: list[int], h: int, start: int, members: tuple[int, ...]
     ) -> Iterator[frozenset[int]]:
-        last = len(members) + 1 == k
-        for i in range(start, len(free) - k + len(members) + 1):
+        rest = k - len(members) - 1
+        for i in range(start, len(free) - rest):
             v = free[i]
             if blue[v]:
                 continue
             charge()
             child, child_bc = bytearray(blue), bc[:]
-            _resume(adj, deg, p, qe, child, child_bc, v)
-            if not last:
-                yield from extend(child, child_bc, i + 1, members + (v,))
+            child_h = h + _resume(adj, deg, p, qe, child, child_bc, v)
+            if rest:
+                if child_h <= p * rest:
+                    yield from extend(child, child_bc, child_h, i + 1, members + (v,))
             elif 0 not in child:
                 yield frozenset(members + (v,))
 
     charge()
     blue, bc = bytearray(n), [0] * n
+    h = p * n - G.edge_count
     for v in forced:
-        _resume(adj, deg, p, qe, blue, bc, v)
+        h += _resume(adj, deg, p, qe, blue, bc, v)
     if len(forced) < k:
-        yield from extend(blue, bc, 0, forced)
+        yield from extend(blue, bc, h, 0, forced)
     elif 0 not in blue:
         yield frozenset(forced)
 

@@ -147,6 +147,12 @@ def test_probe_conjecture(capsys):
     assert doc["sigma_33"] == 5 and doc["sigma_34"] == 5 and doc["equal"] is True
 
 
+def test_probe_conjecture_6x5_within_default_budget(capsys):
+    code, doc = run_json(capsys, "probe-conjecture", "--m", "6", "--n", "5")
+    assert code == 0
+    assert doc["sigma_33"] == doc["sigma_34"] == 15 and doc["equal"] is True
+
+
 def test_probe_budget_exit(capsys):
     code, doc = run_json(capsys, "probe-conjecture", "--m", "3", "--n", "3", "--budget", "2")
     assert code == 3
@@ -180,6 +186,17 @@ def test_solve_budget_exhausted_exit(capsys):
     assert doc["status"] == "budget_exhausted"
     assert doc["evaluations"] == 3
     assert "lower_bound" in doc
+
+
+def test_solve_budget_exhausted_reports_edge_bound(capsys):
+    # ceil((mn + m + n)/3) = 16 on the 6x6 grid at p = 3
+    code, doc = run_json(
+        capsys, "solve", "--family", "grid", "6", "6", "--p", "3", "--q", "3",
+        "--budget", "1000",
+    )
+    assert code == 3
+    assert doc["status"] == "budget_exhausted"
+    assert doc["lower_bound"] >= 16
 
 
 def test_edges_file_input(tmp_path, capsys):

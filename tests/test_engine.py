@@ -358,6 +358,25 @@ def test_resume_from_closure_matches_fresh_closure(case):
     assert final == naive_closure(g, params, seeds + [v], rng)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_resume_cases())
+def test_resume_gains_track_the_edge_potential(case):
+    # The subset search prunes on h = p*|white| - |edges with a white end|,
+    # kept as the sum of resume gains; a seed may lower it by at most p.
+    g, params, seeds, v, rng = case
+    adj, deg, p, qe = g.adj, g.degrees, params.p, params.effective_q(g.n)
+    blue, bc = bytearray(g.n), [0] * g.n
+    h = p * g.n - g.edge_count
+    for s in rng.sample(seeds + [v], len(seeds) + 1):
+        if blue[s]:
+            continue
+        gain = _resume(adj, deg, p, qe, blue, bc, s)
+        assert gain >= -p
+        h += gain
+        blue_bc = sum(blue[u] for w in range(g.n) if blue[w] for u in adj[w])
+        assert h == p * blue.count(0) - g.edge_count + blue_bc // 2
+
+
 _TAMPERS = (
     "none",
     "swap",

@@ -6,6 +6,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadnum import (
     INFINITY,
@@ -144,9 +146,29 @@ def test_lower_bound_examples():
 
 
 def test_lower_bound_tree_term():
-    # the tree refinement kicks in only for trees and p >= 2
+    # the edge term ceil(n - E/p) is ceil(((p-1)n + 1)/p) on trees and
+    # ceil((mn + m + n)/3) on m x n grids at p = 3
     assert lower_bound(path(11), P(2, 1)) == 6  # two endpoints, bound says 6
-    assert lower_bound(cycle(11), P(2, 1)) == 2
+    assert lower_bound(cycle(11), P(2, 1)) == 6 == sigma_exact(cycle(11), P(2, 1)).value
+    assert lower_bound(grid(5, 5), P(3, 3)) == (5 * 5 + 5 + 5 + 2) // 3 == 12
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    params = P(draw(st.integers(1, 4)), draw(st.sampled_from([1, 2, 3, INFINITY])))
+    return Graph.from_edges(n, edges), params
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_graphs())
+def test_lower_bound_never_exceeds_the_unpruned_minimum(case):
+    # The search starts at lower_bound and prunes with the same edge
+    # potential, so compare both with the brute-force oracle.
+    g, params = case
+    assert lower_bound(g, params) <= sigma_exact(g, params).value == naive_sigma(g, params)
 
 
 def test_enumerate_path_endpoints():
@@ -194,8 +216,8 @@ def test_budget_exhaustion_raises_with_bounds():
 
 
 def test_budget_exhaustion_in_later_component_keeps_solved_bounds():
-    params = P(2, 2)
-    parts = [path(3), grid(3, 3), cycle(5)]
+    params = P(2, 1)
+    parts = [path(3), grid(3, 3), cycle(6)]
     edges, offset = [], 0
     for h in parts:
         edges += [(u + offset, v + offset) for u, v in h.edges()]
