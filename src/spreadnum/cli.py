@@ -4,6 +4,10 @@ Every subcommand is a thin adapter over the library; no computation lives
 here.  Exit codes: 0 success, 2 invalid input, 3 evaluation budget
 exhausted, 4 open/unresolved case, so scripts can branch on the outcome.
 ``q`` is spelled ``inf`` for the unconstrained white budget.
+
+Each command imports only the submodules it runs, inside :func:`_run`:
+without a bytecode cache every process compiles the source it imports, so
+loading the whole package would cost more than most commands compute.
 """
 
 from __future__ import annotations
@@ -11,31 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import inf
+from typing import TYPE_CHECKING
 
-from .engine import INFINITY, SpreadParams, check_spreading_sequence, closure, is_spreading_set
-from .formulas import (
-    OpenProblemError,
-    blue_perimeter,
-    grid_sigma,
-    grid_witness,
-    probe_grid_conjecture,
-    sigma_closed_form,
-)
-from .gadgets import (
-    build_qforcing_gadget,
-    build_spreading_gadget,
-    certify_qforcing_gadget,
-    certify_spreading_gadget,
-)
-from .graphs import (
-    Graph,
-    GraphFormatError,
-    build_family,
-    family_from_tokens,
-    parse_edge_list,
-)
-from .solver import BudgetExhausted, sigma_exact
-from .trees import check_property_pnp, search_property_pnp, sigma_tree, subtree_partition
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -45,7 +29,7 @@ EXIT_OPEN = 4
 
 def _parse_q(text: str) -> int | float:
     if text.strip().lower() == "inf":
-        return INFINITY
+        return inf
     try:
         return int(text)
     except ValueError:
@@ -79,6 +63,8 @@ def _parse_cells(text: str) -> list[tuple[int, int]]:
 
 
 def _load_graph(args: argparse.Namespace) -> Graph:
+    from .graphs import build_family, family_from_tokens, parse_edge_list
+
     if getattr(args, "edges", None):
         with open(args.edges, "r", encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
@@ -190,39 +176,60 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run(args: argparse.Namespace) -> int:
     cmd = args.command
-    if cmd == "closure":
-        G = _load_graph(args)
-        _, trace = closure(G, SpreadParams(args.p, args.q), args.set)
-        return _emit(trace.to_json())
-    if cmd == "check":
+    if cmd in ("closure", "check"):
+        from .engine import SpreadParams, check_spreading_sequence, closure, is_spreading_set
+
         G = _load_graph(args)
         params = SpreadParams(args.p, args.q)
+        if cmd == "closure":
+            _, trace = closure(G, params, args.set)
+            return _emit(trace.to_json())
         if args.sequence is not None:
             ok = check_spreading_sequence(G, params, args.set, args.sequence)
             return _emit({"valid_sequence": ok})
         return _emit({"spreading": is_spreading_set(G, params, args.set)})
     if cmd == "solve":
+        from .engine import SpreadParams
+        from .solver import sigma_exact
+
         G = _load_graph(args)
         res = sigma_exact(G, SpreadParams(args.p, args.q), args.budget)
         return _sigma_exit(res.to_json())
     if cmd == "tree":
+        from .engine import SpreadParams
+        from .trees import sigma_tree
+
         G = _load_graph(args)
         return _sigma_exit(sigma_tree(G, SpreadParams(args.p, args.q)).to_json())
     if cmd == "partition":
+        from .trees import subtree_partition
+
         G = _load_graph(args)
         return _emit(subtree_partition(G, args.q).to_json())
     if cmd == "formula":
+        from .engine import SpreadParams
+        from .formulas import sigma_closed_form
+        from .graphs import family_from_tokens
+
         spec = family_from_tokens(args.family)
         res = sigma_closed_form(spec, SpreadParams(args.p, args.q))
         return _sigma_exit(res.to_json())
     if cmd == "grid":
+        from .formulas import grid_sigma
+
         return _sigma_exit(grid_sigma(args.p, args.q, args.m, args.n).to_json())
     if cmd == "witness":
+        from .formulas import grid_witness
+
         cells = grid_witness(args.p, args.q, args.m, args.n)
         return _emit({"cells": sorted(cells), "size": len(cells)})
     if cmd == "perimeter":
+        from .formulas import blue_perimeter
+
         return _emit({"perimeter": blue_perimeter(args.m, args.n, args.cells)})
     if cmd == "gadget":
+        from .gadgets import build_qforcing_gadget, build_spreading_gadget
+
         G = _load_graph(args)
         if args.kind == "qforcing":
             if args.q is None:
@@ -240,6 +247,8 @@ def _run(args: argparse.Namespace) -> int:
             }
         )
     if cmd == "certify":
+        from .gadgets import certify_qforcing_gadget, certify_spreading_gadget
+
         G = _load_graph(args)
         if args.kind == "qforcing":
             cert = certify_qforcing_gadget(G, args.q, args.budget)
@@ -249,10 +258,14 @@ def _run(args: argparse.Namespace) -> int:
             cert = certify_spreading_gadget(G, args.p, args.q, args.budget)
         return _emit(cert.to_json())
     if cmd == "probe-conjecture":
+        from .formulas import probe_grid_conjecture
+
         probe = probe_grid_conjecture(args.m, args.n, args.budget)
         doc = probe.to_json()
         return _emit(doc, EXIT_BUDGET if probe.equal is None else EXIT_OK)
     if cmd == "property-pnp":
+        from .trees import check_property_pnp, search_property_pnp
+
         G = _load_graph(args)
         if args.set is not None and args.ordering is not None:
             report = check_property_pnp(G, args.p, args.set, args.ordering)
@@ -268,19 +281,30 @@ def _run(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {cmd!r}")
 
 
+def _loaded(module: str, name: str):
+    """``name`` from submodule ``module`` if it is loaded, else ``()``.
+
+    An ``except`` clause with ``()`` matches nothing.  A command can raise
+    only the exceptions of submodules it loaded, so the error path looks
+    them up instead of importing anything.
+    """
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return getattr(mod, name) if mod is not None else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except BudgetExhausted as exc:
+    except _loaded("solver", "BudgetExhausted") as exc:
         doc = {"status": "budget_exhausted", "evaluations": exc.evaluations}
         if exc.lower_bound is not None:
             doc["lower_bound"] = exc.lower_bound
         return _emit(doc, EXIT_BUDGET)
-    except OpenProblemError as exc:
+    except _loaded("formulas", "OpenProblemError") as exc:
         return _emit({"status": "open", "note": str(exc)}, EXIT_OPEN)
-    except (GraphFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

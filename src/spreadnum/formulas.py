@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import SigmaResult, SpreadParams, is_spreading_set
-from .graphs import FamilySpec, grid
-from .solver import BudgetExhausted, _as_budget, sigma_exact
+from .graphs import FamilySpec, build_family
 
 
 class OpenProblemError(Exception):
@@ -205,8 +204,8 @@ def grid_witness(p: int, q: int | float, m: int, n: int) -> frozenset[tuple[int,
 
     Returns 1-based ``(col, row)`` cells; the set is re-validated through
     the engine and matches :func:`grid_sigma` in size.  Open cases raise
-    :class:`OpenProblemError`; cases without a proven formula raise
-    ``ValueError``.
+    :class:`OpenProblemError`; cases without a proven formula, and grids
+    over :data:`~spreadnum.graphs.MAX_GRAPH_SIZE`, raise ``ValueError``.
     """
     params = SpreadParams(p, q)
     sig = grid_sigma(p, q, m, n)
@@ -215,6 +214,7 @@ def grid_witness(p: int, q: int | float, m: int, n: int) -> frozenset[tuple[int,
     if sig.status == "not_covered":
         raise ValueError(sig.note or "case not covered")
     assert sig.value is not None
+    G = build_family(FamilySpec("grid", (m, n)))
     swapped = n > m
     M, N = (m, n) if not swapped else (n, m)
     if sig.value == m * n:
@@ -240,7 +240,6 @@ def grid_witness(p: int, q: int | float, m: int, n: int) -> frozenset[tuple[int,
     if swapped:
         cells = {(r, c) for (c, r) in cells}
     assert len(cells) == sig.value, "witness size must match the formula"
-    G = grid(m, n)
     ids = [grid_cell_id(c, r, m, n) for c, r in cells]
     assert is_spreading_set(G, params, ids), "witness failed validation"
     return frozenset(cells)
@@ -289,9 +288,13 @@ def probe_grid_conjecture(m: int, n: int, budget: int | None = None) -> Conjectu
     """Exactly compare the grid's (3,3)- and (3,4)-spreading numbers.
 
     Results are evidence, not proof; a shared evaluation budget may leave
-    either side unresolved (reported as None).
+    either side unresolved (reported as None).  Grids over
+    :data:`~spreadnum.graphs.MAX_GRAPH_SIZE` raise ``ValueError``.
     """
-    G = grid(m, n)
+    # The module's only solver use: the other formulas never load the solver.
+    from .solver import BudgetExhausted, _as_budget, sigma_exact
+
+    G = build_family(FamilySpec("grid", (m, n)))
     shared = _as_budget(budget)
     values: list[int | None] = []
     for qq in (3, 4):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .engine import SpreadParams, is_spreading_set
 from .graphs import Graph
-from .solver import _as_budget, enumerate_minimum_sets, sigma_exact
+from .solver import _as_budget, _minimum_sets, sigma_exact
 
 
 def build_qforcing_gadget(G: Graph, q: int) -> Graph:
@@ -131,10 +131,9 @@ def certify_qforcing_gadget(
     as-is, since original vertices keep their ids.
     """
     shared = _as_budget(budget)
-    zero = sigma_exact(G, SpreadParams(1, 1), shared).value
+    zero, lifts = _minimum_sets(G, SpreadParams(1, 1), shared, lift_limit)
     gadget = build_qforcing_gadget(G, q)
     qf_params = SpreadParams(1, q)
-    lifts = enumerate_minimum_sets(G, SpreadParams(1, 1), limit=lift_limit, budget=shared)
     lifts_valid = all(is_spreading_set(gadget, qf_params, S) for S in lifts)
     gadget_value = sigma_exact(gadget, qf_params, shared).value
     assert zero is not None and gadget_value is not None
@@ -161,12 +160,10 @@ def certify_spreading_gadget(
     q-forcing set is that set plus all leaves.
     """
     shared = _as_budget(budget)
-    qf_params = SpreadParams(1, q)
-    forcing = sigma_exact(G, qf_params, shared).value
+    forcing, lifts = _minimum_sets(G, SpreadParams(1, q), shared, lift_limit)
     gadget = build_spreading_gadget(G, p)
     sp_params = SpreadParams(p, q)
     leaves = gadget_leaves(gadget)
-    lifts = enumerate_minimum_sets(G, qf_params, limit=lift_limit, budget=shared)
     lifts_valid = all(is_spreading_set(gadget, sp_params, S | leaves) for S in lifts)
     gadget_value = sigma_exact(gadget, sp_params, shared).value
     assert forcing is not None and gadget_value is not None

@@ -18,6 +18,21 @@ class GraphFormatError(ValueError):
     """Raised when an edge-list document cannot be parsed."""
 
 
+#: Most vertices, and most edges, of a graph built from a description: an
+#: edge-list document or a named family.  A larger one is rejected before
+#: anything is allocated for it.  The largest inputs the tests and the
+#: benchmark build this way are 10^5-vertex trees and 300 x 300 grids.
+MAX_GRAPH_SIZE = 1_000_000
+
+
+def _check_size(vertices: int, edges: int) -> None:
+    if vertices > MAX_GRAPH_SIZE or edges > MAX_GRAPH_SIZE:
+        raise ValueError(
+            f"graph too large: {vertices} vertices and {edges} edges, "
+            f"at most {MAX_GRAPH_SIZE} of each"
+        )
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph.
@@ -127,7 +142,9 @@ def parse_edge_list(text: str) -> Graph:
 
     Lines are ``u v`` integer pairs (0-based ids); an optional ``n COUNT``
     line fixes the vertex count so isolated vertices survive.  Self-loops and
-    non-integer tokens are rejected with their line number.
+    non-integer tokens are rejected with their line number.  A document with
+    more than :data:`MAX_GRAPH_SIZE` vertices or edges raises ``ValueError``
+    before the graph is built.
     """
     header: int | None = None
     edges: list[tuple[int, int]] = []
@@ -165,6 +182,7 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
         max_id = max(max_id, u, v)
     n = max(max_id + 1, header if header is not None else 0)
+    _check_size(n, len(edges))
     return Graph.from_edges(n, edges)
 
 
@@ -241,14 +259,19 @@ def _require_size(family: str, value: int, minimum: int) -> None:
         raise ValueError(f"{family} requires integer size >= {minimum}, got {value}")
 
 
+#: name -> (builder, parameter count, parameters -> (vertices, edges))
 FAMILIES = {
-    "path": (path, 1),
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "complete_bipartite": (complete_bipartite, 2),
-    "star": (star, 1),
-    "grid": (grid, 2),
-    "cartesian_product": (cartesian_product, 2),
+    "path": (path, 1, lambda n: (n, n - 1)),
+    "cycle": (cycle, 1, lambda n: (n, n)),
+    "complete": (complete, 1, lambda n: (n, n * (n - 1) // 2)),
+    "complete_bipartite": (complete_bipartite, 2, lambda r, s: (r + s, r * s)),
+    "star": (star, 1, lambda n: (n, n - 1)),
+    "grid": (grid, 2, lambda m, n: (m * n, m * (n - 1) + n * (m - 1))),
+    "cartesian_product": (
+        cartesian_product,
+        2,
+        lambda G, H: (G.n * H.n, G.n * H.edge_count + H.n * G.edge_count),
+    ),
 }
 
 
@@ -283,8 +306,10 @@ class FamilySpec:
 
 
 def build_family(spec: FamilySpec) -> Graph:
-    """Construct the graph described by ``spec``."""
-    builder, _ = FAMILIES[spec.family]
+    """Construct the graph described by ``spec``; a family member with more
+    than :data:`MAX_GRAPH_SIZE` vertices or edges raises ``ValueError``."""
+    builder, _, size = FAMILIES[spec.family]
+    _check_size(*size(*spec.args))
     return builder(*spec.args)
 
 

@@ -226,6 +226,13 @@ def enumerate_minimum_sets(
     Each returned set has been validated by running it to closure; output is
     sorted, so repeated runs agree element for element.
     """
-    b = _as_budget(budget)
-    k = sigma_exact(G, params, b).value
-    return sorted(islice(_spreading_sets(G, params, b, k), limit), key=sorted)
+    return _minimum_sets(G, params, _as_budget(budget), limit)[1]
+
+
+def _minimum_sets(
+    G: Graph, params: SpreadParams, budget: Budget, limit: int | None
+) -> tuple[int, list[frozenset[int]]]:
+    """The spreading number and :func:`enumerate_minimum_sets`, from one
+    :func:`sigma_exact` search."""
+    k = sigma_exact(G, params, budget).value
+    return k, sorted(islice(_spreading_sets(G, params, budget, k), limit), key=sorted)

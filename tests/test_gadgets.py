@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from spreadnum import (
+    Budget,
     SpreadParams,
     build_qforcing_gadget,
     build_spreading_gadget,
@@ -18,6 +19,7 @@ from spreadnum import (
     gadget_leaves,
     is_spreading_set,
     path,
+    sigma_exact,
     star,
 )
 
@@ -146,3 +148,20 @@ def test_minimum_forcing_sets_lift_with_leaves():
 
 def test_connected_graph_corpus_counts():
     assert [len(connected_graphs(n)) for n in range(1, 6)] == [1, 1, 2, 6, 21]
+
+
+@pytest.mark.parametrize("kind", ["qforcing", "spreading"])
+def test_certifier_searches_the_base_graph_once(kind):
+    """A certificate costs one enumeration of the base graph (which finds
+    the minimum itself) plus one search of the gadget, nothing more."""
+    G, p, q = cycle(5), 2, 2
+    base_params = P(1, 1) if kind == "qforcing" else P(1, q)
+    gadget = build_qforcing_gadget(G, q) if kind == "qforcing" else build_spreading_gadget(G, p)
+    base, gadget_search, shared = Budget(None), Budget(None), Budget(None)
+    enumerate_minimum_sets(G, base_params, limit=4, budget=base)
+    sigma_exact(gadget, P(1, q) if kind == "qforcing" else P(p, q), gadget_search)
+    if kind == "qforcing":
+        certify_qforcing_gadget(G, q, shared, lift_limit=4)
+    else:
+        certify_spreading_gadget(G, p, q, shared, lift_limit=4)
+    assert shared.used == base.used + gadget_search.used

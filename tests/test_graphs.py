@@ -23,6 +23,9 @@ from spreadnum import (
     star,
 )
 
+from spreadnum import graphs
+from spreadnum.graphs import FAMILIES
+
 from conftest import random_graph
 
 
@@ -147,13 +150,33 @@ def test_grid_id_convention():
         (FamilySpec("complete_bipartite", (3, 2)), 5, 6),
         (FamilySpec("star", (7,)), 7, 6),
         (FamilySpec("grid", (4, 5)), 20, 31),
+        (FamilySpec("cartesian_product", (cycle(4), path(3))), 12, 20),
     ],
 )
 def test_family_sizes(spec, n, edges):
+    # The size the limit check computes before building is the built size.
+    assert FAMILIES[spec.family][2](*spec.args) == (n, edges)
     g = build_family(spec)
     assert g.n == n
     assert g.edge_count == edges
     assert sum(g.degrees) == 2 * g.edge_count  # handshake
+
+
+def test_size_limit_rejects_before_building(monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_GRAPH_SIZE", 12)
+    assert parse_edge_list("n 12").n == 12
+    assert build_family(FamilySpec("grid", (3, 3))).edge_count == 12
+    too_large = [
+        lambda: parse_edge_list("n 13"),
+        lambda: parse_edge_list("0 12"),
+        lambda: parse_edge_list("0 1\n" * 13),
+        lambda: build_family(FamilySpec("path", (13,))),
+        lambda: build_family(FamilySpec("grid", (3, 4))),  # 12 vertices, 17 edges
+        lambda: build_family(FamilySpec("complete", (6,))),  # 6 vertices, 15 edges
+    ]
+    for build in too_large:
+        with pytest.raises(ValueError, match="too large"):
+            build()
 
 
 def test_grid_edge_count_formula():
