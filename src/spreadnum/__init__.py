@@ -78,7 +78,6 @@ _EXPORTS = {
     ),
     "trees": (
         "Partition",
-        "RootedTree",
         "PnpReport",
         "PnpStep",
         "UpperBoundReport",
@@ -96,66 +95,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INFINITY",
-    "Budget",
-    "DEFAULT_EVALUATION_BUDGET",
-    "BudgetExhausted",
-    "ConjectureProbe",
-    "FamilySpec",
-    "Graph",
-    "GraphFormatError",
-    "OpenProblemError",
-    "Partition",
-    "PnpReport",
-    "PnpStep",
-    "RootedTree",
-    "QForcingCertificate",
-    "SigmaResult",
-    "SpreadParams",
-    "SpreadTrace",
-    "SpreadingCertificate",
-    "UpperBoundReport",
-    "blue_perimeter",
-    "build_family",
-    "build_qforcing_gadget",
-    "build_spreading_gadget",
-    "cartesian_product",
-    "certify_qforcing_gadget",
-    "certify_spreading_gadget",
-    "check_property_pnp",
-    "check_spreading_sequence",
-    "closure",
-    "closure_set",
-    "complete",
-    "complete_bipartite",
-    "cycle",
-    "enumerate_minimum_sets",
-    "family_from_tokens",
-    "gadget_leaves",
-    "grid",
-    "grid_cell_id",
-    "grid_id_cell",
-    "grid_sigma",
-    "grid_witness",
-    "is_spreading_set",
-    "lower_bound",
-    "parse_edge_list",
-    "partition_is_valid",
-    "path",
-    "probe_grid_conjecture",
-    "search_property_pnp",
-    "serialize_edge_list",
-    "sigma_closed_form",
-    "sigma_exact",
-    "sigma_tree",
-    "star",
-    "subtree_partition",
-    "tight_tree",
-    "tree_lower_bound",
-    "tree_upper_bound",
-    "verify_trace",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

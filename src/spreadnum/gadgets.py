@@ -15,8 +15,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import SpreadParams, is_spreading_set
-from .graphs import Graph
+from .graphs import Graph, _check_size
 from .solver import _as_budget, _minimum_sets, sigma_exact
+
+
+def _check_qforcing(G: Graph, q: int) -> None:
+    if not isinstance(q, int) or q < 2:
+        raise ValueError(f"gadget requires integer q >= 2, got {q!r}")
+    # Each vertex gains q - 1 edges to its a's and the a-b and b-c cliques,
+    # which share the b-b edges: q (7q - 5) / 2 edges in all.
+    _check_size(3 * q * G.n, G.edge_count + G.n * q * (7 * q - 5) // 2)
+
+
+def _check_spreading(G: Graph, p: int) -> None:
+    if not isinstance(p, int) or p < 2:
+        raise ValueError(f"gadget requires integer p >= 2, got {p!r}")
+    _check_size(G.n + (p - 1) + p * (p - 1), G.edge_count + (p - 1) * (G.n + p))
 
 
 def build_qforcing_gadget(G: Graph, q: int) -> Graph:
@@ -25,10 +39,10 @@ def build_qforcing_gadget(G: Graph, q: int) -> Graph:
     Vertex ``i`` gains companions ``a1..a(q-1)``, ``b1..bq``, ``c1..cq``:
     the a's hang off ``i``, the a's and b's form one clique, the b's and
     c's another.  Output has ``3 q n`` vertices; labels record each
-    companion's role and owner, e.g. ``"b2^i"``.
+    companion's role and owner, e.g. ``"b2^i"``.  A gadget over
+    ``graphs.MAX_GRAPH_SIZE`` raises ``ValueError`` before it is built.
     """
-    if not isinstance(q, int) or q < 2:
-        raise ValueError(f"gadget requires integer q >= 2, got {q!r}")
+    _check_qforcing(G, q)
     n = G.n
     edges = list(G.edges())
     labels = {v: f"v{v}" for v in range(n)}
@@ -55,10 +69,10 @@ def build_spreading_gadget(G: Graph, p: int) -> Graph:
     """Add ``p - 1`` universal vertices with ``p`` private leaves each.
 
     Output has ``n + (p - 1) + p (p - 1)`` vertices; universal vertices are
-    labeled ``"u1".."u(p-1)"`` and leaves ``"leaf j^uk"``.
+    labeled ``"u1".."u(p-1)"`` and leaves ``"leaf j^uk"``.  A gadget over
+    ``graphs.MAX_GRAPH_SIZE`` raises ``ValueError`` before it is built.
     """
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"gadget requires integer p >= 2, got {p!r}")
+    _check_spreading(G, p)
     n = G.n
     edges = list(G.edges())
     labels = {v: f"v{v}" for v in range(n)}
@@ -130,6 +144,7 @@ def certify_qforcing_gadget(
     set of ``G`` (up to ``lift_limit`` of them) must q-force the gadget
     as-is, since original vertices keep their ids.
     """
+    _check_qforcing(G, q)
     shared = _as_budget(budget)
     zero, lifts = _minimum_sets(G, SpreadParams(1, 1), shared, lift_limit)
     gadget = build_qforcing_gadget(G, q)
@@ -159,6 +174,7 @@ def certify_spreading_gadget(
     every candidate automatically; the constructive lift of a minimum
     q-forcing set is that set plus all leaves.
     """
+    _check_spreading(G, p)
     shared = _as_budget(budget)
     forcing, lifts = _minimum_sets(G, SpreadParams(1, q), shared, lift_limit)
     gadget = build_spreading_gadget(G, p)

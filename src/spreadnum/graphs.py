@@ -8,7 +8,6 @@ header for isolated vertices); serialization reproduces it bit-exactly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -19,8 +18,8 @@ class GraphFormatError(ValueError):
 
 
 #: Most vertices, and most edges, of a graph built from a description: an
-#: edge-list document or a named family.  A larger one is rejected before
-#: anything is allocated for it.  The largest inputs the tests and the
+#: edge-list document, a named family or a gadget.  A larger one is rejected
+#: before anything is allocated for it.  The largest inputs the tests and the
 #: benchmark build this way are 10^5-vertex trees and 300 x 300 grids.
 MAX_GRAPH_SIZE = 1_000_000
 
@@ -99,23 +98,12 @@ class Graph:
 
     def components(self) -> list[frozenset[int]]:
         """Connected components, ordered by smallest contained vertex."""
-        seen = bytearray(self.n)
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = 1
-            queue = deque((s,))
-            while queue:
-                u = queue.popleft()
-                for v in self.adj[u]:
-                    if not seen[v]:
-                        seen[v] = 1
-                        comp.append(v)
-                        queue.append(v)
-            out.append(frozenset(comp))
-        return out
+        parent = [-2] * self.n
+        return [
+            frozenset(_bfs(self.adj, s, parent))
+            for s in range(self.n)
+            if parent[s] == -2
+        ]
 
     @cached_property
     def is_connected(self) -> bool:
@@ -135,6 +123,19 @@ class Graph:
         pos = {v: i for i, v in enumerate(old)}
         adj = tuple(tuple(pos[u] for u in self.adj[v] if u in pos) for v in old)
         return Graph(len(old), adj), old
+
+
+def _bfs(adj, root: int, parent: list[int]) -> list[int]:
+    """Breadth-first order from ``root`` over the vertices whose ``parent`` is
+    -2 (unvisited), recording each one's BFS parent (-1 at ``root``)."""
+    parent[root] = -1
+    order = [root]
+    for u in order:
+        for v in adj[u]:
+            if parent[v] == -2:
+                parent[v] = u
+                order.append(v)
+    return order
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -25,7 +25,7 @@ from .engine import (
     SpreadParams,
     closure,
 )
-from .graphs import Graph
+from .graphs import Graph, _bfs
 
 
 def _require_tree(T: Graph) -> None:
@@ -33,50 +33,17 @@ def _require_tree(T: Graph) -> None:
         raise ValueError("expected a tree (connected, |E| = n - 1)")
 
 
-@dataclass(frozen=True)
-class RootedTree:
-    """A tree with a BFS layering: parent, depth, and children per vertex.
-
-    The root sits at depth 0 and carries parent -1; children are listed in
-    ascending id order, so traversals derived from this structure are
-    deterministic.
-    """
-
-    tree: Graph
-    root: int
-    parent: tuple[int, ...]
-    depth: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_tree(T: Graph, root: int | None = None) -> "RootedTree":
-        """Root at ``root``, defaulting to the lowest-id non-leaf vertex."""
-        _require_tree(T)
-        if root is None:
-            root = next((v for v in range(T.n) if T.degree(v) >= 2), 0)
-        if not 0 <= root < T.n:
-            raise ValueError(f"root {root} out of range")
-        parent = [-1] * T.n
-        depth = [0] * T.n
-        children: list[list[int]] = [[] for _ in range(T.n)]
-        seen = bytearray(T.n)
-        seen[root] = 1
-        order = [root]
-        for u in order:
-            for v in T.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    children[u].append(v)
-                    order.append(v)
-        return RootedTree(
-            tree=T,
-            root=root,
-            parent=tuple(parent),
-            depth=tuple(depth),
-            children=tuple(tuple(c) for c in children),
-        )
+def _rooted(T: Graph) -> tuple[list[int], list[int], list[int]]:
+    """BFS order, parents (-1 at the root) and depths of the tree ``T``,
+    rooted at its lowest-id non-leaf vertex (vertex 0 if it has none)."""
+    _require_tree(T)
+    root = next((v for v in range(T.n) if T.degree(v) >= 2), 0)
+    parent = [-2] * T.n
+    order = _bfs(T.adj, root, parent)
+    depth = [0] * T.n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    return order, parent, depth
 
 
 @dataclass(frozen=True)
@@ -134,27 +101,24 @@ def subtree_partition(T: Graph, q: int) -> Partition:
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
     n = T.n
-    rooted = RootedTree.from_tree(T)
-    root, parent, children = rooted.root, rooted.parent, rooted.children
-    by_depth: list[list[int]] = [[] for _ in range(max(rooted.depth) + 1)]
+    order, parent, depth = _rooted(T)
+    root = order[0]
+    by_depth: list[list[int]] = [[] for _ in range(max(depth) + 1)]
     for v in range(n):
-        by_depth[rooted.depth[v]].append(v)
+        by_depth[depth[v]].append(v)
     # Bottom up: part[v] is the index of the part that v heads, or -1.  A
-    # child heading a part has left its parent's remaining subtree; the
-    # root heads whatever is left at the top.
+    # child heading a part has left its parent's remaining subtree, so cs
+    # holds the children still in it; the root heads whatever is left.
     part = [-1] * n
-    alive = [len(c) for c in children]
     count = 0
     for layer in reversed(by_depth):
         for x in layer:
-            if alive[x] <= q and x != root:
+            cs = [c for c in T.adj[x] if c != parent[x] and part[c] < 0]
+            if len(cs) <= q and x != root:
                 continue
-            cs = [c for c in children[x] if part[c] < 0]
             for c in cs[q + 1 :] + [x]:
                 part[c] = count
                 count += 1
-            if x != root:
-                alive[parent[x]] -= 1
     # Top down: every other vertex joins the part of its parent.
     members: list[list[int]] = [[] for _ in range(count)]
     for layer in by_depth:
@@ -175,7 +139,7 @@ def _part_seed(T: Graph, part: frozenset[int]) -> int:
     raise AssertionError("induced subtree without a leaf")
 
 
-def _percolating_seeds(rooted: RootedTree, p: int) -> frozenset[int]:
+def _percolating_seeds(T: Graph, p: int) -> frozenset[int]:
     """Minimum ``p``-neighbor bootstrap percolating set of a tree, ``p >= 2``.
 
     Riedl's rule ("Largest and smallest minimal percolating sets in trees",
@@ -186,19 +150,18 @@ def _percolating_seeds(rooted: RootedTree, p: int) -> frozenset[int]:
     active child has its parent as its only white neighbor, and a waiting
     vertex has ``p - 1 >= 1`` such children.
     """
-    order = [rooted.root]
-    for u in order:
-        order.extend(rooted.children[u])
-    active_children = [0] * len(order)
+    order, parent, _ = _rooted(T)
+    root = order[0]
+    active_children = [0] * T.n
     seeds = []
     for v in reversed(order):
         c = active_children[v]
-        if c == p - 1 and v != rooted.root:
+        if c == p - 1 and v != root:
             continue
         if c < p:
             seeds.append(v)
-        if v != rooted.root:
-            active_children[rooted.parent[v]] += 1
+        if v != root:
+            active_children[parent[v]] += 1
     return frozenset(seeds)
 
 
@@ -214,7 +177,7 @@ def sigma_tree(T: Graph, params: SpreadParams) -> SigmaResult:
     """
     _require_tree(T)
     if params.p >= 2:
-        seeds = _percolating_seeds(RootedTree.from_tree(T), params.p)
+        seeds = _percolating_seeds(T, params.p)
     elif params.q_is_infinite:
         seeds = frozenset({0})
     else:

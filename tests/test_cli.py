@@ -141,6 +141,23 @@ def test_certify_payloads(capsys):
     assert doc["gadget_spreading"] == 4 and doc["equal"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "qforcing", "--q", "1"],
+        ["--kind", "spreading", "--p", "1", "--q", "1"],
+    ],
+    ids=["qforcing", "spreading"],
+)
+def test_certify_rejects_gadget_parameters_before_searching(capsys, argv):
+    # A budget of 10 runs out in the base search, so a check made after it
+    # would report budget exhaustion (exit 3) instead of the bad parameter.
+    code, out, err = run_cli(
+        capsys, "certify", "--family", "grid", "4", "4", *argv, "--budget", "10"
+    )
+    assert code == 2 and out == "" and ">= 2" in err
+
+
 def test_probe_conjecture(capsys):
     code, doc = run_json(capsys, "probe-conjecture", "--m", "3", "--n", "3")
     assert code == 0

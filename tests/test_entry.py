@@ -193,8 +193,18 @@ def test_exit_4_open_grid_and_open_witness():
         ["closure", "--family", "complete", "100000", "--p", "1", "--q", "1", "--set", "0"],
         ["witness", "--p", "4", "--q", "1", "--m", "100000", "--n", "100000"],
         ["probe-conjecture", "--m", "2000", "--n", "2000"],
+        ["gadget", "--family", "path", "200000", "--kind", "qforcing", "--q", "3"],
+        ["gadget", "--family", "path", "3", "--kind", "spreading", "--p", "3000"],
     ],
-    ids=["edges-header", "grid-family", "complete-family", "witness", "probe"],
+    ids=[
+        "edges-header",
+        "grid-family",
+        "complete-family",
+        "witness",
+        "probe",
+        "qforcing-gadget",
+        "spreading-gadget",
+    ],
 )
 def test_oversized_input_is_rejected_before_allocating(tmp_path, argv):
     big = tmp_path / "big.txt"

@@ -22,6 +22,7 @@ from spreadnum import (
     sigma_exact,
     star,
 )
+from spreadnum import graphs
 
 from conftest import connected_graphs
 
@@ -165,3 +166,35 @@ def test_certifier_searches_the_base_graph_once(kind):
     else:
         certify_spreading_gadget(G, p, q, shared, lift_limit=4)
     assert shared.used == base.used + gadget_search.used
+
+
+@pytest.mark.parametrize("kind", ["qforcing", "spreading"])
+def test_gadget_checks_come_before_any_work(monkeypatch, kind):
+    """A bad parameter or an oversized gadget is rejected before the
+    certifier searches the base graph or the builder allocates."""
+    build = build_qforcing_gadget if kind == "qforcing" else build_spreading_gadget
+
+    def certify(G, k, budget):
+        if kind == "qforcing":
+            return certify_qforcing_gadget(G, k, budget)
+        return certify_spreading_gadget(G, k, 1, budget)
+
+    budget = Budget(10)
+    with pytest.raises(ValueError, match=">= 2"):
+        certify(complete(5), 1, budget)
+    assert budget.used == 0
+    # The closed-form size is exact: a limit equal to the gadget's larger
+    # count admits it, and one less rejects it.
+    for G in (path(1), path(4), cycle(5), complete(4), graphs.Graph.from_edges(3, [])):
+        for k in (2, 3, 4):
+            g = build(G, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(graphs, "MAX_GRAPH_SIZE", max(g.n, g.edge_count))
+                assert build(G, k) == g
+                patch.setattr(graphs, "MAX_GRAPH_SIZE", max(g.n, g.edge_count) - 1)
+                with pytest.raises(ValueError, match="too large"):
+                    build(G, k)
+                budget = Budget(1)
+                with pytest.raises(ValueError, match="too large"):
+                    certify(G, k, budget)
+                assert budget.used == 0

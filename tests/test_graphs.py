@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadnum import (
     FamilySpec,
@@ -26,7 +28,7 @@ from spreadnum import (
 from spreadnum import graphs
 from spreadnum.graphs import FAMILIES
 
-from conftest import random_graph
+from conftest import _components_within, random_graph
 
 
 def test_parse_small_path():
@@ -236,6 +238,22 @@ def test_structure_report_disconnected():
     g = Graph.from_edges(5, [(0, 1), (2, 3)])
     assert not g.is_connected and not g.is_tree
     assert [sorted(c) for c in g.components()] == [[0, 1], [2, 3], [4]]
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs())
+def test_components_match_the_reference(g):
+    # Sparse draws leave isolated vertices; n = 0 has no components.
+    expected = _components_within(g, set(range(g.n)))
+    assert g.components() == [frozenset(c) for c in expected]
 
 
 def test_bipartite_layout():

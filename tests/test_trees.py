@@ -27,6 +27,7 @@ from spreadnum import (
     tree_upper_bound,
     verify_trace,
 )
+from spreadnum.trees import _rooted
 
 from conftest import naive_is_spreading, naive_pnp_report, random_tree
 
@@ -50,33 +51,28 @@ def _spider(legs: int, leg_len: int) -> Graph:
 
 
 def test_rooted_tree_layering():
-    from spreadnum import RootedTree
+    order, parent, depth = _rooted(star(5))
+    assert order[0] == 0  # lowest-id non-leaf
+    assert depth == [0, 1, 1, 1, 1]
+    assert parent == [-1, 0, 0, 0, 0]
 
-    rt = RootedTree.from_tree(star(5))
-    assert rt.root == 0  # lowest-id non-leaf
-    assert rt.depth == (0, 1, 1, 1, 1)
-    assert rt.parent == (-1, 0, 0, 0, 0)
-
-    rt = RootedTree.from_tree(path(4), root=3)
-    assert rt.depth == (3, 2, 1, 0)
     rng = random.Random(41)
     for _ in range(10):
         t = random_tree(rng.randrange(2, 14), rng)
-        rt = RootedTree.from_tree(t)
-        assert rt.depth[rt.root] == 0
-        for v in range(t.n):
-            if v != rt.root:
-                assert rt.depth[v] == rt.depth[rt.parent[v]] + 1
-                assert v in rt.children[rt.parent[v]]
+        order, parent, depth = _rooted(t)
+        root = order[0]
+        assert root == min((v for v in range(t.n) if t.degree(v) >= 2), default=0)
+        assert parent[root] == -1 and depth[root] == 0
+        assert sorted(order) == list(range(t.n))
+        for v in order[1:]:
+            assert parent[v] in t.adj[v]
+            assert depth[v] == depth[parent[v]] + 1
+        assert all(depth[u] <= depth[v] for u, v in zip(order, order[1:]))
 
 
 def test_rooted_tree_rejects_bad_input():
-    from spreadnum import RootedTree
-
     with pytest.raises(ValueError):
-        RootedTree.from_tree(cycle(4))
-    with pytest.raises(ValueError):
-        RootedTree.from_tree(path(3), root=9)
+        _rooted(cycle(4))
 
 
 # ---------------------------------------------------------------------------
