@@ -57,7 +57,6 @@ _EXPORTS = {
         "Graph",
         "GraphFormatError",
         "build_family",
-        "cartesian_product",
         "complete",
         "complete_bipartite",
         "cycle",

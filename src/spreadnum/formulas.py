@@ -9,7 +9,7 @@ the proofs and re-validate themselves through the engine before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .engine import SigmaResult, SpreadParams, is_spreading_set
 from .graphs import FamilySpec, build_family
@@ -274,14 +274,7 @@ class ConjectureProbe:
     sigma_34: int | None
     equal: bool | None
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "sigma_33": self.sigma_33,
-            "sigma_34": self.sigma_34,
-            "equal": self.equal,
-        }
+    to_json = asdict
 
 
 def probe_grid_conjecture(m: int, n: int, budget: int | None = None) -> ConjectureProbe:

@@ -12,7 +12,7 @@ constructive "lift" of every minimum base set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .engine import SpreadParams, is_spreading_set
 from .graphs import Graph, _check_size
@@ -103,14 +103,7 @@ class QForcingCertificate:
     lifts_checked: int
     lifts_valid: bool
 
-    def to_json(self) -> dict:
-        return {
-            "zero_forcing": self.zero_forcing,
-            "gadget_forcing": self.gadget_forcing,
-            "equal": self.equal,
-            "lifts_checked": self.lifts_checked,
-            "lifts_valid": self.lifts_valid,
-        }
+    to_json = asdict
 
 
 @dataclass(frozen=True)
@@ -124,15 +117,7 @@ class SpreadingCertificate:
     lifts_checked: int
     lifts_valid: bool
 
-    def to_json(self) -> dict:
-        return {
-            "forcing": self.forcing,
-            "gadget_spreading": self.gadget_spreading,
-            "expected": self.expected,
-            "equal": self.equal,
-            "lifts_checked": self.lifts_checked,
-            "lifts_valid": self.lifts_valid,
-        }
+    to_json = asdict
 
 
 def certify_qforcing_gadget(

@@ -127,7 +127,9 @@ class Graph:
 
 def _bfs(adj, root: int, parent: list[int]) -> list[int]:
     """Breadth-first order from ``root`` over the vertices whose ``parent`` is
-    -2 (unvisited), recording each one's BFS parent (-1 at ``root``)."""
+    -2 (unvisited), recording each one's BFS parent (-1 at ``root``).  A
+    vertex whose ``parent`` is anything else is never entered, so a caller
+    confines the search to a vertex subset by marking the rest first."""
     parent[root] = -1
     order = [root]
     for u in order:
@@ -225,19 +227,11 @@ def star(n: int) -> Graph:
     return Graph.from_edges(n, ((0, v) for v in range(1, n)))
 
 
-def cartesian_product(G: Graph, H: Graph) -> Graph:
-    """Cartesian product; vertex ``(g, h)`` gets id ``g * H.n + h``."""
-    k = H.n
-    edges = [(g * k + h, g * k + h2) for g in range(G.n) for h, h2 in H.edges()]
-    edges += [(g * k + h, g2 * k + h) for g, g2 in G.edges() for h in range(k)]
-    return Graph.from_edges(G.n * k, edges)
-
-
 def grid(m: int, n: int) -> Graph:
     """Grid with ``m`` columns and ``n`` rows; cell ``(c, r)`` (1-based) has
-    id ``(c - 1) * n + (r - 1)``.  Equals ``cartesian_product(path(m),
-    path(n))``, built directly: ``v``'s neighbors are ``(v - n, v - 1, v + 1,
-    v + n)``, already sorted, clipped at the border."""
+    id ``(c - 1) * n + (r - 1)``.  This is the Cartesian product of the paths
+    P_m and P_n, built directly: ``v``'s neighbors are ``(v - n, v - 1,
+    v + 1, v + n)``, already sorted, clipped at the border."""
     _require_size("grid", m, 1)
     _require_size("grid", n, 1)
     cells = m * n
@@ -268,11 +262,6 @@ FAMILIES = {
     "complete_bipartite": (complete_bipartite, 2, lambda r, s: (r + s, r * s)),
     "star": (star, 1, lambda n: (n, n - 1)),
     "grid": (grid, 2, lambda m, n: (m * n, m * (n - 1) + n * (m - 1))),
-    "cartesian_product": (
-        cartesian_product,
-        2,
-        lambda G, H: (G.n * H.n, G.n * H.edge_count + H.n * G.edge_count),
-    ),
 }
 
 
@@ -280,9 +269,8 @@ FAMILIES = {
 class FamilySpec:
     """A named graph family with its parameters.
 
-    ``args`` holds ints for the parametric families and two ``Graph`` values
-    for ``cartesian_product``.  Size parameters are validated on
-    construction so closed-form evaluators can trust a spec without
+    ``args`` holds the family's integer size parameters.  They are validated
+    on construction so closed-form evaluators can trust a spec without
     building the graph.
     """
 
@@ -297,10 +285,6 @@ class FamilySpec:
                 f"{self.family} takes {FAMILIES[self.family][1]} parameter(s), "
                 f"got {len(self.args)}"
             )
-        if self.family == "cartesian_product":
-            if not all(isinstance(g, Graph) for g in self.args):
-                raise ValueError("cartesian_product takes two Graph values")
-            return
         minimum = 3 if self.family == "cycle" else 1
         for a in self.args:
             _require_size(self.family, a, minimum)
@@ -319,8 +303,6 @@ def family_from_tokens(tokens: list[str]) -> FamilySpec:
     if not tokens:
         raise ValueError("empty family description")
     name, raw_args = tokens[0], tokens[1:]
-    if name == "cartesian_product":
-        raise ValueError("cartesian_product is not constructible from the CLI")
     try:
         args = tuple(int(a) for a in raw_args)
     except ValueError:

@@ -157,33 +157,18 @@ def _spreading_sets(
         yield frozenset(forced)
 
 
-def _search_component(
-    G: Graph, params: SpreadParams, budget: Budget
-) -> tuple[int, frozenset[int]]:
-    """Smallest spreading set of a connected graph, first in search order.
-
-    Raises :class:`BudgetExhausted` (annotated with the cardinality level
-    being searched) if the evaluation budget runs out first.
-    """
-    for k in range(lower_bound(G, params), G.n + 1):
-        try:
-            for S in _spreading_sets(G, params, budget, k):
-                return k, S
-        except BudgetExhausted as exc:
-            exc.lower_bound = k
-            raise
-    raise AssertionError("the full vertex set always spreads")
-
-
 def sigma_exact(
     G: Graph, params: SpreadParams, budget: int | Budget | None = None
 ) -> SigmaResult:
     """Exact spreading number with a re-validated witness and trace.
 
     Components are independent (the rule never crosses them), so the value
-    is the sum of per-component minima.  Deterministic: candidate sets are
-    enumerated in a fixed lexicographic order.  Without an explicit budget
-    the search is capped at :data:`DEFAULT_EVALUATION_BUDGET` closure
+    is the sum of per-component minima, each the first cardinality level at
+    which the search finds a set.  Deterministic: candidate sets are
+    enumerated in a fixed lexicographic order.  A budget that runs out at
+    level ``k`` reports the solved minima plus ``k`` plus the static bounds
+    of the components not yet searched.  Without an explicit budget the
+    search is capped at :data:`DEFAULT_EVALUATION_BUDGET` closure
     evaluations and raises :class:`BudgetExhausted` beyond that, so the
     call always terminates.
     """
@@ -195,16 +180,20 @@ def sigma_exact(
     comps = G.components()
     for idx, comp in enumerate(comps):
         sub, old_ids = G.induced(comp)
-        try:
-            k, local = _search_component(sub, params, b)
-        except BudgetExhausted as exc:
-            solved_lb = total + (exc.lower_bound or 0)
-            for rest in comps[idx + 1 :]:
-                rsub, _ = G.induced(rest)
-                solved_lb += lower_bound(rsub, params)
-            raise BudgetExhausted(
-                str(exc), evaluations=exc.evaluations, lower_bound=solved_lb
-            ) from None
+        for k in range(lower_bound(sub, params), sub.n + 1):
+            try:
+                local = next(_spreading_sets(sub, params, b, k), None)
+            except BudgetExhausted as exc:
+                rest = sum(
+                    lower_bound(G.induced(c)[0], params) for c in comps[idx + 1 :]
+                )
+                raise BudgetExhausted(
+                    str(exc), evaluations=exc.evaluations, lower_bound=total + k + rest
+                ) from None
+            if local is not None:
+                break
+        else:
+            raise AssertionError("the full vertex set always spreads")
         total += k
         witness.update(old_ids[v] for v in local)
     final, trace = closure(G, params, witness)

@@ -11,13 +11,12 @@ together with an ordering of the remaining vertices in which each one sees
 at least ``p`` earlier-blue neighbors, subject to two edge-counting balance
 conditions.  A certificate exists exactly when the spreading number meets
 that bound, so the search for one is the bottom-up pass plus one check.
-Everything runs in near-linear time and checks its own result.
+Everything runs in linear time, up to sorting, and checks its own result.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .engine import (
     INFINITY,
@@ -203,8 +202,7 @@ class UpperBoundReport:
     attained: bool
     reason: str
 
-    def to_json(self) -> dict:
-        return {"bound": self.bound, "attained": self.attained, "reason": self.reason}
+    to_json = asdict
 
 
 def tree_upper_bound(T: Graph, p: int, q: int | float) -> UpperBoundReport:
@@ -295,8 +293,10 @@ def check_property_pnp(
     still-unused seed components adjacent to it.  Requirements: the seed
     set has the lower-bound size and every ordered vertex has at least
     ``p`` neighbors inside its own forest (the size then makes the excess
-    over ``p`` and the seed set's edges add up to ``rem(n-1, p)``).  Each
-    step's counts are running totals over one union-find: near-linear time.
+    over ``p`` and the seed set's edges add up to ``rem(n-1, p)``).  One
+    search finds the seed components, and each step's counts are running
+    totals, a forest's components being its vertices minus its edges:
+    linear time, up to sorting each step's pulled seeds.
     """
     _require_tree(T)
     if not isinstance(p, int) or p < 2:
@@ -310,8 +310,17 @@ def check_property_pnp(
     n = T.n
     need = tree_lower_bound(n, p)
     remainder = (n - 1) % p
-    seed_pairs = [(u, v) for u, v in T.edges() if u in S and v in S]
-    seed_edges_total = len(seed_pairs)
+    # Components of T[S]: every non-seed is marked visited, so each search
+    # stays inside S; a component is keyed by its lowest vertex, its root.
+    parent = [-2 if v in S else -1 for v in range(n)]
+    root_of = [-1] * n  # -1 off S
+    members: dict[int, list[int]] = {}  # seed components not yet pulled
+    for r in range(n):
+        if parent[r] == -2:
+            members[r] = _bfs(T.adj, r, parent)
+            for s in members[r]:
+                root_of[s] = r
+    seed_edges_total = len(S) - len(members)  # a forest: vertices - components
     if len(S) != need:
         return PnpReport(
             holds=False,
@@ -323,64 +332,34 @@ def check_property_pnp(
             seed_edges=seed_edges_total,
             steps=(),
         )
-    # The union-find joins the components of T[S] first, then the forest's.
-    uf = list(range(n))
-    size = [1] * n
-
-    def find(x: int) -> int:
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
-    def union(a: int, b: int) -> bool:
-        a, b = sorted((find(a), find(b)), key=size.__getitem__)
-        if a != b:
-            uf[a] = b
-            size[b] += size[a]
-        return a != b
-
-    for u, v in seed_pairs:
-        union(u, v)
-    comp = [find(v) if v in S else -1 for v in range(n)]  # -1 off S
-    members: dict[int, list[int]] = {}  # seed components not yet pulled
-    for s in S:
-        members.setdefault(comp[s], []).append(s)
-    comp_edges = Counter(comp[u] for u, _ in seed_pairs)
     in_forest = bytearray(n)
-    forest_size = k_t = c_t = blue_total = 0
+    forest_size = k_t = blue_total = 0
     steps: list[PnpStep] = []
     blue_counts: list[int] = []
     for v in ordering:
         pulled: list[int] = []
         for u in T.adj[v]:
-            if comp[u] in members:
-                pulled += members.pop(comp[u])
-                k_t += comp_edges[comp[u]]
-                c_t += 1
+            part = members.pop(root_of[u], None)
+            if part is not None:
+                pulled += part
+                k_t += len(part) - 1
         for x in (v, *pulled):
             in_forest[x] = 1
         forest_size += 1 + len(pulled)
-        c_t += 1
-        nfi = 0
-        for u in T.adj[v]:
-            if in_forest[u]:
-                nfi += 1
-                c_t -= union(u, v)
+        nfi = sum(in_forest[u] for u in T.adj[v])
         blue_counts.append(nfi)
         blue_total += nfi
+        # The forest's edges are its seed edges plus each step's edges back
+        # into the forest, so its components are vertices minus those.
         steps.append(
             PnpStep(
                 vertex=v,
                 pulled=tuple(sorted(pulled)),
                 blue_neighbors=nfi,
                 seed_edges=k_t,
-                forest_components=c_t,
+                forest_components=forest_size - k_t - blue_total,
             )
         )
-        # Invariant of the forest construction on trees: vertices = internal
-        # seed edges + components + accumulated forced-neighbor counts.
-        assert forest_size == k_t + c_t + blue_total, "forest balance broken"
     excess = sum(c - p for c in blue_counts)
     assert not ordering or all(in_forest), "complete ordering must absorb every seed"
     # Each edge of T is a seed edge or a forced-neighbor edge, and |S| = need

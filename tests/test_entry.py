@@ -160,10 +160,11 @@ def test_command_loads_only_its_modules(argv, modules):
 
 
 def test_exit_2_bad_family():
-    code, out, err, loaded = _spread("formula", "--family", "nosuch", "3", "--p", "1", "--q", "1")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "family" in err
-    assert loaded == ENGINE | {"spreadnum.formulas"}
+    for family in (["nosuch", "3"], ["cartesian_product", "2", "2"]):
+        code, out, err, loaded = _spread("formula", "--family", *family, "--p", "1", "--q", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "family" in err
+        assert loaded == ENGINE | {"spreadnum.formulas"}
 
 
 def test_exit_3_budget_exhausted():

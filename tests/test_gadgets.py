@@ -115,6 +115,13 @@ def test_certify_qforcing_examples():
         assert cert.gadget_forcing == expect
         assert cert.equal and cert.lifts_valid
         assert cert.lifts_checked >= 1
+    assert certify_qforcing_gadget(path(3), 2).to_json() == {
+        "zero_forcing": 1,
+        "gadget_forcing": 1,
+        "equal": True,
+        "lifts_checked": 2,
+        "lifts_valid": True,
+    }
 
 
 def test_certify_spreading_examples():
@@ -127,8 +134,14 @@ def test_certify_spreading_examples():
     assert cert.equal
 
     cert = certify_spreading_gadget(path(4), 3, 2)
-    assert (cert.forcing, cert.gadget_spreading, cert.expected) == (1, 7, 7)
-    assert cert.equal
+    assert cert.to_json() == {
+        "forcing": 1,
+        "gadget_spreading": 7,
+        "expected": 7,
+        "equal": True,
+        "lifts_checked": 4,
+        "lifts_valid": True,
+    }
 
 
 def test_minimum_zero_forcing_sets_lift():

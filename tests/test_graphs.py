@@ -13,7 +13,6 @@ from spreadnum import (
     Graph,
     GraphFormatError,
     build_family,
-    cartesian_product,
     complete,
     complete_bipartite,
     cycle,
@@ -117,18 +116,10 @@ def test_grid_shape():
     assert g.degree(4) == 4  # center cell (2, 2)
 
 
-def test_product_of_two_edges_is_a_square():
-    g = cartesian_product(path(2), path(2))
-    assert g.n == 4
-    assert g.degrees == (2, 2, 2, 2)
-    assert g.is_connected and g.edge_count == 4
-
-
 def test_grid_matches_product_vertex_for_vertex():
     for m in range(1, 13):
         for n in range(1, 13):
             g = grid(m, n)
-            assert g == cartesian_product(path(m), path(n))
             # Cell (c, r), 0-based, is joined to (c, r + 1) and (c + 1, r).
             edges = [
                 (c * n + r, c * n + r + 1) for c in range(m) for r in range(n - 1)
@@ -152,7 +143,6 @@ def test_grid_id_convention():
         (FamilySpec("complete_bipartite", (3, 2)), 5, 6),
         (FamilySpec("star", (7,)), 7, 6),
         (FamilySpec("grid", (4, 5)), 20, 31),
-        (FamilySpec("cartesian_product", (cycle(4), path(3))), 12, 20),
     ],
 )
 def test_family_sizes(spec, n, edges):
@@ -201,10 +191,8 @@ def test_family_rejects_bad_parameters():
         FamilySpec("grid", (3,))
     with pytest.raises(ValueError):
         FamilySpec("unknown", (3,))
-    with pytest.raises(ValueError):
-        FamilySpec("cartesian_product", (path(2), 3))
-    spec = FamilySpec("cartesian_product", (path(2), path(2)))
-    assert build_family(spec).n == 4
+    with pytest.raises(ValueError, match="unknown family"):
+        FamilySpec("cartesian_product", (2, 2))
 
 
 def test_family_from_tokens():

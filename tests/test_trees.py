@@ -335,7 +335,7 @@ def test_tree_lower_bound_rejects_small_p():
 
 def test_upper_bound_star_attains():
     rep = tree_upper_bound(star(7), 2, 1)
-    assert rep.bound == 6 and rep.attained
+    assert rep.to_json() == {"bound": 6, "attained": True, "reason": "star"}
 
 
 def test_upper_bound_low_degree_attains():
