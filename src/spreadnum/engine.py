@@ -4,9 +4,10 @@ A white vertex turns blue once it has at least ``p`` blue neighbors and one
 of those blue neighbors has at most ``q`` white neighbors.  The rule is
 monotone (blue sets only grow, white-neighbor counts only shrink), so the
 closure of a seed set is unique no matter in which order eligible vertices
-are processed.  The engine forces one vertex at a time in a canonical order:
-lowest eligible white id first, attributed to its lowest-id usable blue
-neighbor.  Traces are therefore reproducible fixtures.
+are processed.  One kernel colors every vertex: the seeds in id order, then
+one forced vertex at a time in a canonical order, lowest eligible white id
+first, attributed to its lowest-id usable blue neighbor.  Traces are
+therefore reproducible fixtures.
 """
 
 from __future__ import annotations
@@ -111,87 +112,54 @@ class SigmaResult:
         return doc
 
 
-def _seeded(adj, n: int, seeds: Iterable[int]) -> tuple[bytearray, list[int]]:
-    """The blue set ``seeds`` and its blue-neighbor counts ``bc``."""
-    blue = bytearray(n)
-    bc = [0] * n
-    for v in seeds:
-        if not blue[v]:
-            blue[v] = 1
-            for u in adj[v]:
-                bc[u] += 1
-    return blue, bc
-
-
-def _close(
-    adj: tuple[tuple[int, ...], ...],
-    deg: tuple[int, ...],
-    n: int,
-    p: int,
-    qe: int,
-    seeds: Iterable[int],
-    record: bool = False,
-) -> tuple[bytearray, list[tuple[int, int]]]:
-    """Run the rule to fixpoint; O(E + n log n).
-
-    ``bc[v]`` counts blue neighbors of ``v``; the white-neighbor count of a
-    vertex is always ``deg[v] - bc[v]``.  A white vertex enters the heap the
-    moment it becomes eligible, and eligibility is monotone, so popping the
-    heap yields the lowest-id eligible vertex at every step.
-    """
-    blue, bc = _seeded(adj, n, seeds)
-    queued = bytearray(blue)
-    heap = []
-    for w in range(n):
-        if not blue[w] and bc[w] >= p:
-            for u in adj[w]:
-                if blue[u] and deg[u] - bc[u] <= qe:
-                    heap.append(w)
-                    queued[w] = 1
-                    break
-    heapq.heapify(heap)
-    steps: list[tuple[int, int]] = []
-    _drain(adj, deg, p, qe, blue, bc, queued, heap, steps if record else None)
-    return blue, steps
-
-
-def _drain(
+def _spread(
     adj: tuple[tuple[int, ...], ...],
     deg: tuple[int, ...],
     p: int,
     qe: int,
     blue: bytearray,
     bc: list[int],
-    queued: bytearray,
-    heap: list[int],
-    steps: list[tuple[int, int]] | None,
+    seeds: Iterable[int],
+    steps: list[tuple[int, int]] | None = None,
 ) -> int:
-    """Color queued vertices lowest id first until the heap is empty, and
-    return the sum of ``bc[w] - p`` over the colored vertices ``w``.
+    """Add ``seeds`` to the closure ``blue`` and run the rule to the new
+    fixpoint in place; O(E + n log n).  Returns the change in the edge
+    potential ``p * |white| - |edges with a white end|``.
 
-    Invariant: every eligible white vertex is queued, and ``queued`` marks
-    exactly the blue and heaped vertices.  Coloring a vertex updates the
-    counts around it and queues whatever that makes eligible, so the
-    invariant survives each pop.  With ``steps`` the pop is attributed to
-    its lowest-id usable blue neighbor.
-
-    The returned sum is the change in the edge potential
-    ``p * |white| - |edges with a white end|``: coloring ``w`` removes one
-    white vertex and the ``bc[w]`` edges to its blue neighbors.
+    ``bc[v]`` counts the blue neighbors of ``v``, so ``v`` has
+    ``deg[v] - bc[v]`` white ones.  The all-white state is a closure, and by
+    monotonicity the result is the closure of the old blue set plus
+    ``seeds``.  Every vertex turns blue by popping one heap: seed ``v`` with
+    key ``v - n``, so the seeds pop first in id order, and a white vertex
+    with its own id the moment it becomes eligible.  ``queued`` marks the
+    blue and heaped vertices, and every eligible white vertex is queued: a
+    fixpoint has none, and each coloring queues what it makes eligible.
+    Once the seeds are blue, each pop is thus the lowest eligible id, which
+    ``steps`` records with its lowest-id usable blue neighbor.  Coloring
+    ``w`` removes one white vertex and ``bc[w]`` edges with a white end, so
+    the potential changes by the sum of ``bc[w] - p``.
     """
     push, pop = heapq.heappush, heapq.heappop
+    n = len(blue)
+    queued = bytearray(blue)
+    heap: list[int] = []
+    for v in seeds:
+        if not queued[v]:
+            queued[v] = 1
+            push(heap, v - n)
     gain = 0
     while heap:
         w = pop(heap)
-        gain += bc[w] - p
-        if steps is not None:
-            forcer = -1
+        if w < 0:
+            w += n
+        elif steps is not None:
             for u in adj[w]:
                 if blue[u] and deg[u] - bc[u] <= qe:
-                    forcer = u
+                    steps.append((u, w))
                     break
-            assert forcer >= 0, "queued vertex lost its usable blue neighbor"
-            steps.append((forcer, w))
+            else:
+                raise AssertionError("queued vertex lost its usable blue neighbor")
+        gain += bc[w] - p
         blue[w] = 1
         for x in adj[w]:
             bc[x] += 1
@@ -218,30 +186,6 @@ def _drain(
     return gain
 
 
-def _resume(
-    adj: tuple[tuple[int, ...], ...],
-    deg: tuple[int, ...],
-    p: int,
-    qe: int,
-    blue: bytearray,
-    bc: list[int],
-    v: int,
-) -> int:
-    """Add seed ``v`` to the fixpoint ``blue`` and run the rule to the new one.
-
-    ``blue`` and ``bc`` must be a closure and its blue-neighbor counts (the
-    all-white state is one); both are updated in place.  A fixpoint has no
-    eligible white vertex, so coloring ``v`` as if it were forced keeps
-    :func:`_drain`'s invariant, and by monotonicity the result is the
-    closure of the old blue set plus ``v``.  No trace is kept.  Returns
-    :func:`_drain`'s change in the edge potential, ``v``'s own
-    ``bc[v] - p`` included.
-    """
-    queued = bytearray(blue)
-    queued[v] = 1
-    return _drain(adj, deg, p, qe, blue, bc, queued, [v], None)
-
-
 def _check_seeds(G: Graph, seeds: Iterable[int]) -> frozenset[int]:
     S = frozenset(seeds)
     for v in S:
@@ -250,30 +194,35 @@ def _check_seeds(G: Graph, seeds: Iterable[int]) -> frozenset[int]:
     return S
 
 
+def _closed(
+    G: Graph, params: SpreadParams, seeds: Iterable[int], steps=None
+) -> tuple[frozenset[int], bytearray]:
+    """The checked seed set and the blue flags of its closure."""
+    S = _check_seeds(G, seeds)
+    blue = bytearray(G.n)
+    q = params.effective_q(G.n)
+    _spread(G.adj, G.degrees, params.p, q, blue, [0] * G.n, S, steps)
+    return S, blue
+
+
 def closure(
     G: Graph, params: SpreadParams, seeds: Iterable[int]
 ) -> tuple[frozenset[int], SpreadTrace]:
     """Maximal blue set reachable from ``seeds``, with a replayable trace."""
-    S = _check_seeds(G, seeds)
-    blue, steps = _close(
-        G.adj, G.degrees, G.n, params.p, params.effective_q(G.n), S, record=True
-    )
+    steps: list[tuple[int, int]] = []
+    S, blue = _closed(G, params, seeds, steps)
     final = frozenset(compress(range(G.n), blue))
     return final, SpreadTrace(initial=S, steps=tuple(steps), final=final)
 
 
 def closure_set(G: Graph, params: SpreadParams, seeds: Iterable[int]) -> frozenset[int]:
     """Like :func:`closure` but skips trace bookkeeping."""
-    S = _check_seeds(G, seeds)
-    blue, _ = _close(G.adj, G.degrees, G.n, params.p, params.effective_q(G.n), S)
-    return frozenset(compress(range(G.n), blue))
+    return frozenset(compress(range(G.n), _closed(G, params, seeds)[1]))
 
 
 def is_spreading_set(G: Graph, params: SpreadParams, seeds: Iterable[int]) -> bool:
     """True iff the closure of ``seeds`` is the whole vertex set."""
-    S = _check_seeds(G, seeds)
-    blue, _ = _close(G.adj, G.degrees, G.n, params.p, params.effective_q(G.n), S)
-    return all(blue)
+    return all(_closed(G, params, seeds)[1])
 
 
 _ANY = object()  # a forcer that stands for any usable blue neighbor
@@ -281,7 +230,7 @@ _ANY = object()  # a forcer that stands for any usable blue neighbor
 
 def _replay(G: Graph, params: SpreadParams, initial, steps) -> bytearray | None:
     """Color ``initial``, then each ``(forcer, forced)`` step in order, with
-    blue-neighbor counts ``bc`` as in :func:`_close`; None at the first step
+    blue-neighbor counts ``bc`` as in :func:`_spread`; None at the first step
     that breaks the rule.  Forcer :data:`_ANY` accepts any usable blue
     neighbor.  An id outside ``0..n-1`` fails instead of raising.
     """
@@ -289,7 +238,12 @@ def _replay(G: Graph, params: SpreadParams, initial, steps) -> bytearray | None:
     p, qe = params.p, params.effective_q(n)
     if not all(isinstance(v, int) and 0 <= v < n for v in initial):
         return None
-    blue, bc = _seeded(adj, n, initial)
+    blue, bc = bytearray(n), [0] * n
+    for v in initial:
+        if not blue[v]:
+            blue[v] = 1
+            for u in adj[v]:
+                bc[u] += 1
     for forcer, w in steps:
         if not (isinstance(w, int) and 0 <= w < n) or blue[w] or bc[w] < p:
             return None

@@ -31,6 +31,11 @@ def _not_covered(note: str) -> SigmaResult:
     return SigmaResult(value=None, status="not_covered", note=note)
 
 
+def _check_board(m: int, n: int) -> None:
+    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
+        raise ValueError("grid dimensions must be positive integers")
+
+
 def _sigma_path(n: int, p: int, q: int | float) -> SigmaResult:
     if p == 1:
         return _formula(1)
@@ -108,8 +113,7 @@ def grid_sigma(p: int, q: int | float, m: int, n: int) -> SigmaResult:
     """
     params = SpreadParams(p, q)
     q = params.q
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
-        raise ValueError("grid dimensions must be positive integers")
+    _check_board(m, n)
     M, N = max(m, n), min(m, n)
     if N == 1:
         return _sigma_path(M, p, q)
@@ -251,6 +255,7 @@ def blue_perimeter(m: int, n: int, cells) -> int:
     Equals ``4 |S| - 2 (number of axis-adjacent pairs inside S)``.  The
     full board measures ``2 (m + n)``.
     """
+    _check_board(m, n)
     S = set()
     for cell in cells:
         c, r = cell

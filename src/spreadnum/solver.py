@@ -5,8 +5,8 @@ package.  Each cardinality level is searched in full before the next, so
 the first feasible cardinality is optimal and no branch-and-bound
 bookkeeping is needed.  Within a level one depth-first search visits
 candidate sets in lexicographic order, and every prefix keeps its closure:
-a child colors one more seed and resumes the rule from its parent's
-fixpoint instead of starting over.  A vertex the prefix closure already
+a child adds one more seed to its parent's fixpoint and runs the rule from
+there instead of starting over.  A vertex the prefix closure already
 colors is never added, because the set would close like one of the
 previous level, which failed or lies below the static bound.  Vertices of
 degree below ``p`` can never be forced and are fixed in every candidate,
@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator
 
-from .engine import SigmaResult, SpreadParams, _resume, closure
+from .engine import SigmaResult, SpreadParams, _spread, closure
 from .graphs import Graph
 
 
@@ -47,7 +47,7 @@ class BudgetExhausted(RuntimeError):
 
 #: Evaluation cap applied when no budget is given, so a search on an
 #: oversized graph reports exhaustion instead of running forever.  One
-#: evaluation is one resumed closure, a node of the subset search; the 5x5
+#: evaluation is one closure-kernel call, a node of the subset search; the 5x5
 #: grid at (3, 3) takes 579 of them.  Pass ``Budget(None)`` to lift it.
 DEFAULT_EVALUATION_BUDGET = 5_000_000
 
@@ -55,9 +55,9 @@ DEFAULT_EVALUATION_BUDGET = 5_000_000
 class Budget:
     """Counts closure evaluations; hardware-independent 'gave up' behavior.
 
-    The subset search charges one evaluation per node: the closure of the
-    fixed low-degree vertices at the root of each level, and every resume
-    that adds one seed to a prefix closure, leaves and inner prefixes alike.
+    The subset search charges one evaluation per node, each one call of the
+    closure kernel: the root of each level closes the fixed low-degree
+    vertices, and every other node adds one seed to a prefix closure.
     """
 
     __slots__ = ("limit", "used")
@@ -109,16 +109,16 @@ def _spreading_sets(
 
     Every set holds all vertices of degree below ``p`` (they can never be
     forced) plus free vertices chosen depth first in ascending order.  Each
-    prefix keeps its closure, and a child resumes from it with one more
-    seed.  A vertex the prefix closure already colors is never added: the
+    prefix keeps its closure, and a child adds its one seed to a copy of
+    it.  A vertex the prefix closure already colors is never added: the
     set would close exactly like the set without it, one smaller, so it
     cannot be a minimum spreading set.  Each prefix also carries its edge
-    potential ``h`` (see the module docstring), which the resumes update
-    incrementally; a prefix with ``r`` seeds still to choose is extended
+    potential ``h`` (see the module docstring), which the kernel's gains
+    update incrementally; a prefix with ``r`` seeds still to choose is extended
     only if ``h <= p * r``.  This cuts only subtrees with no spreading
     completion, so the sets found and their order do not depend on it.
-    Every resumed closure, the root's and the pruned ones included, costs
-    one budget evaluation.
+    Every node, the root and the pruned ones included, costs one budget
+    evaluation.
     """
     n, p = G.n, params.p
     qe = params.effective_q(n)
@@ -139,7 +139,7 @@ def _spreading_sets(
                 continue
             charge()
             child, child_bc = bytearray(blue), bc[:]
-            child_h = h + _resume(adj, deg, p, qe, child, child_bc, v)
+            child_h = h + _spread(adj, deg, p, qe, child, child_bc, (v,))
             if rest:
                 if child_h <= p * rest:
                     yield from extend(child, child_bc, child_h, i + 1, members + (v,))
@@ -148,9 +148,7 @@ def _spreading_sets(
 
     charge()
     blue, bc = bytearray(n), [0] * n
-    h = p * n - G.edge_count
-    for v in forced:
-        h += _resume(adj, deg, p, qe, blue, bc, v)
+    h = p * n - G.edge_count + _spread(adj, deg, p, qe, blue, bc, forced)
     if len(forced) < k:
         yield from extend(blue, bc, h, 0, forced)
     elif 0 not in blue:

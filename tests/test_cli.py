@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadnum.cli import main
 
@@ -50,6 +54,9 @@ def test_witness_open_exit_code(capsys):
 def test_witness_uncovered_is_invalid_input(capsys):
     code, out, err = run_cli(capsys, "witness", "--p", "2", "--q", "1", "--m", "9", "--n", "2")
     assert code == 2 and out == "" and "formula" in err
+    # An impossible board is rejected by perimeter as it is by grid.
+    code, out, err = run_cli(capsys, "perimeter", "--m", "0", "--n", "-3", "--cells", ";")
+    assert code == 2 and out == "" and "dimensions" in err
 
 
 def test_closure_trace(capsys):
@@ -241,6 +248,50 @@ def test_invalid_edges_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "self-loop" in err
+
+
+_NOISE = st.one_of(
+    st.tuples(st.integers(0, 9), st.integers(0, 9)).map("{0[0]} {0[1]}".format),
+    st.integers(0, 12).map("n {}".format),
+    st.sampled_from(["", "n", "n x", "n -1", "n 2 3", "7", "-1 2", "0 1 2", "a b", "1.5 2"]),
+)
+
+
+@st.composite
+def _edge_files(draw):
+    # A random tree, so that the tree commands get past parsing, with a few
+    # lines of noise: self-loops, cycles, bad headers and bad tokens.
+    n = draw(st.integers(0, 10))
+    tree = [f"{draw(st.integers(0, v - 1))} {v}" for v in range(1, n)]
+    return draw(st.permutations(tree + draw(st.lists(_NOISE, max_size=4))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _edge_files(),
+    st.sampled_from(
+        [
+            ["check", "--p", "1", "--q", "1", "--set", "0"],
+            ["solve", "--p", "2", "--q", "1", "--budget", "40"],
+            ["tree", "--p", "2", "--q", "inf"],
+            ["partition", "--q", "1"],
+            ["property-pnp", "--p", "2"],
+            ["gadget", "--kind", "qforcing", "--q", "2"],
+            ["certify", "--kind", "spreading", "--p", "2", "--q", "1", "--budget", "40"],
+        ]
+    ),
+)
+def test_malformed_edge_files_exit_0_2_or_3(tmp_path_factory, lines, argv):
+    f = tmp_path_factory.getbasetemp() / "fuzz.edges"
+    f.write_text("\n".join(lines), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([argv[0], "--edges", str(f), *argv[1:]])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+    else:
+        json.loads(out.getvalue())
 
 
 def test_missing_graph_is_invalid(capsys):

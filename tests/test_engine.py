@@ -24,7 +24,7 @@ from spreadnum import (
     star,
     verify_trace,
 )
-from spreadnum.engine import _close, _resume
+from spreadnum.engine import _spread
 
 from conftest import naive_closure, naive_replay, random_graph, random_tree
 
@@ -336,14 +336,19 @@ def test_resume_from_closure_matches_fresh_closure(case):
     def counts(blue):
         return [sum(blue[u] for u in adj[w]) for w in range(g.n)]
 
-    expected, _ = _close(adj, deg, g.n, p, qe, seeds + [v])
+    def close(S):
+        blue = bytearray(g.n)
+        _spread(adj, deg, p, qe, blue, [0] * g.n, S)
+        return blue
+
+    expected = close(seeds + [v])
     # Two routes to cl(S): one fresh closure, and single-seed resumes from
     # the all-white state in a random order.
-    start, _ = _close(adj, deg, g.n, p, qe, seeds)
+    start = close(seeds)
     chained, chained_bc = bytearray(g.n), [0] * g.n
     for s in rng.sample(seeds, len(seeds)):
         if not chained[s]:
-            _resume(adj, deg, p, qe, chained, chained_bc, s)
+            _spread(adj, deg, p, qe, chained, chained_bc, (s,))
     assert chained == start and chained_bc == counts(start)
     if start[v]:
         # Adding a vertex the closure already colors changes nothing; the
@@ -351,7 +356,7 @@ def test_resume_from_closure_matches_fresh_closure(case):
         assert expected == start
         return
     for blue, bc in ((start, counts(start)), (chained, chained_bc)):
-        _resume(adj, deg, p, qe, blue, bc, v)
+        _spread(adj, deg, p, qe, blue, bc, (v,))
         assert blue == expected
         assert bc == counts(expected)
     final = frozenset(w for w in range(g.n) if expected[w])
@@ -370,11 +375,37 @@ def test_resume_gains_track_the_edge_potential(case):
     for s in rng.sample(seeds + [v], len(seeds) + 1):
         if blue[s]:
             continue
-        gain = _resume(adj, deg, p, qe, blue, bc, s)
+        gain = _spread(adj, deg, p, qe, blue, bc, (s,))
         assert gain >= -p
         h += gain
         blue_bc = sum(blue[u] for w in range(g.n) if blue[w] for u in adj[w])
         assert h == p * blue.count(0) - g.edge_count + blue_bc // 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_resume_cases())
+def test_kernel_adds_several_seeds_at_once(case):
+    # One call with a batch of seeds on a non-empty fixpoint: repeats and
+    # vertices already blue are ignored, and the gain is still the change
+    # in the edge potential.
+    g, params, seeds, v, rng = case
+    adj, deg, p, qe = g.adj, g.degrees, params.p, params.effective_q(g.n)
+    blue, bc = bytearray(g.n), [0] * g.n
+    _spread(adj, deg, p, qe, blue, bc, seeds + [v])
+    batch = rng.choices(range(g.n), k=rng.randrange(1, 2 * g.n + 1)) + [v, v]
+    new_seeds = {s for s in batch if not blue[s]}
+
+    def potential():
+        blue_bc = sum(blue[u] for w in range(g.n) if blue[w] for u in adj[w])
+        return p * blue.count(0) - g.edge_count + blue_bc // 2
+
+    h = potential()
+    gain = _spread(adj, deg, p, qe, blue, bc, batch)
+    assert gain >= -p * len(new_seeds)
+    assert h + gain == potential()
+    expected = naive_closure(g, params, seeds + [v] + batch, rng)
+    assert blue == bytearray(w in expected for w in range(g.n))
+    assert bc == [sum(blue[u] for u in adj[w]) for w in range(g.n)]
 
 
 _TAMPERS = (

@@ -228,6 +228,9 @@ def test_perimeter_rejects_out_of_range():
         blue_perimeter(3, 3, [(4, 1)])
     with pytest.raises(ValueError):
         blue_perimeter(3, 3, [(0, 2)])
+    for m, n in ((0, 4), (3, -3), (2.5, 3)):
+        with pytest.raises(ValueError, match="dimensions"):
+            blue_perimeter(m, n, [])
 
 
 def test_perimeter_never_increases_along_two_neighbor_closures():

@@ -79,13 +79,6 @@ def test_header_with_extra_isolated_vertices():
     assert g.degrees == (1, 1, 0, 0, 0)
 
 
-def test_round_trip_exact():
-    rng = random.Random(7)
-    for _ in range(25):
-        g = random_graph(rng.randrange(1, 12), rng.random(), rng)
-        assert parse_edge_list(serialize_edge_list(g)) == g
-
-
 def test_round_trip_degenerate_graphs():
     empty = Graph.from_edges(0, [])
     assert serialize_edge_list(empty) == "n 0\n"
@@ -242,6 +235,22 @@ def test_components_match_the_reference(g):
     # Sparse draws leave isolated vertices; n = 0 has no components.
     expected = _components_within(g, set(range(g.n)))
     assert g.components() == [frozenset(c) for c in expected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_graphs(), st.randoms())
+def test_round_trip_exact(g, rng):
+    assert parse_edge_list(serialize_edge_list(g)) == g
+    # The same graph as a messy document: header and pairs shuffled, pairs
+    # repeated and in either order, padded with whitespace and blank lines.
+    rows = [("n", g.n)] + [
+        rng.sample([u, v], 2) for u, v in g.edges() for _ in range(rng.randrange(1, 3))
+    ]
+    pad = ("", " ", "\t", " \t ")
+    lines = [rng.choice(pad) + f"{a}{rng.choice(pad[1:])}{b}" + rng.choice(pad) for a, b in rows]
+    lines += [rng.choice(pad)] * rng.randrange(3)
+    rng.shuffle(lines)
+    assert parse_edge_list("\n".join(lines)) == g
 
 
 def test_bipartite_layout():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spreadnum import (
     INFINITY,
@@ -29,7 +31,7 @@ from spreadnum import (
 )
 from spreadnum.trees import _rooted
 
-from conftest import naive_is_spreading, naive_pnp_report, random_tree
+from conftest import naive_is_spreading, naive_pnp_report, naive_sigma, random_tree
 
 P = SpreadParams
 
@@ -260,6 +262,22 @@ def test_sigma_tree_matches_solver_for_forcing():
         assert res.value == sigma_exact(t, P(1, q)).value
         assert is_spreading_set(t, P(1, q), res.witness)
         assert verify_trace(t, P(1, q), res.trace)
+
+
+@st.composite
+def _small_trees(draw):
+    n = draw(st.integers(1, 9))
+    label = draw(st.permutations(range(n)))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    return Graph.from_edges(n, [(label[v], label[u]) for v, u in enumerate(parents, 1)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_trees(), st.integers(1, 3), st.sampled_from([1, 2, 3, INFINITY]))
+def test_sigma_tree_matches_brute_force(t, p, q):
+    res = sigma_tree(t, P(p, q))
+    assert res.value == naive_sigma(t, P(p, q))
+    assert naive_is_spreading(t, P(p, q), res.witness)
 
 
 def test_sigma_tree_independent_of_q_when_p_large():
