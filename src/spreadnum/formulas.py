@@ -71,6 +71,25 @@ def _sigma_complete_bipartite(r: int, s: int, p: int, q: int | float) -> SigmaRe
     return _not_covered(f"no closed form for complete bipartite with p <= {small}")
 
 
+def _sigma_star(n: int, p: int, q: int | float) -> SigmaResult:
+    if p >= n:
+        return _formula(n)
+    if 2 <= p:
+        return _formula(n - 1)
+    return _not_covered("star with p = 1 has no single closed form here")
+
+
+#: family name -> closed form, called with the family's size parameters, p, q
+_CLOSED_FORMS = {
+    "path": _sigma_path,
+    "cycle": _sigma_cycle,
+    "complete": _sigma_complete,
+    "complete_bipartite": _sigma_complete_bipartite,
+    "star": _sigma_star,
+    "grid": lambda m, n, p, q: grid_sigma(p, q, m, n),
+}
+
+
 def sigma_closed_form(spec: FamilySpec, params: SpreadParams) -> SigmaResult:
     """Closed-form value for a named family, or ``not_covered``.
 
@@ -78,67 +97,53 @@ def sigma_closed_form(spec: FamilySpec, params: SpreadParams) -> SigmaResult:
     graphs in the regime where p separates the two sides, and grids (which
     delegate to :func:`grid_sigma`).
     """
-    p, q = params.p, params.q
-    family = spec.family
-    if family == "path":
-        return _sigma_path(spec.args[0], p, q)
-    if family == "cycle":
-        return _sigma_cycle(spec.args[0], p, q)
-    if family == "complete":
-        return _sigma_complete(spec.args[0], p, q)
-    if family == "complete_bipartite":
-        return _sigma_complete_bipartite(spec.args[0], spec.args[1], p, q)
-    if family == "star":
-        n = spec.args[0]
-        if p >= n:
-            return _formula(n)
-        if 2 <= p:
-            return _formula(n - 1)
-        return _not_covered("star with p = 1 has no single closed form here")
-    if family == "grid":
-        return grid_sigma(p, q, spec.args[0], spec.args[1])
-    return _not_covered(f"no closed form for family {family!r}")
+    return _CLOSED_FORMS[spec.family](*spec.args, params.p, params.q)
 
 
 def grid_sigma(p: int, q: int | float, m: int, n: int) -> SigmaResult:
     """Spreading number of the ``m x n`` grid, by parameter regime.
 
-    With ``N`` the smaller and ``M`` the larger dimension (both >= 3):
-    ``p=1`` gives ``N`` for ``q=1`` and 1 otherwise; ``p=2`` gives
-    ``ceil((N+M+1)/2)`` at ``q=1`` and ``ceil((N+M)/2)`` for ``q>=2``;
-    ``p=3`` is an open problem; ``p=4`` gives
-    ``2M + 2N - 4 + floor((M-2)(N-2)/2)``; larger ``p`` forces everything.
-    Degenerate strips fall back to path/cycle formulas or the max-degree
-    argument.
+    With ``N`` the smaller and ``M`` the larger dimension: ``p`` above the
+    maximum degree ``min(M-1, 2) + min(N-1, 2)`` forces every cell;
+    ``p=1`` gives ``N`` for ``q=1`` and 1 otherwise; ``p=2`` has no proven
+    formula on 2-row grids (``M >= 3``) with ``q <= 2``, and otherwise
+    gives ``ceil((N+M+1)/2)`` at ``q=1`` with ``N >= 3``, 3 at ``q=1`` on
+    the 2 x 2 square, and ``ceil((N+M)/2)``; ``p=3`` is an open problem;
+    ``p=4`` gives ``2M + 2N - 4 + floor((M-2)(N-2)/2)``.
     """
-    params = SpreadParams(p, q)
-    q = params.q
+    return _grid_case(p, q, m, n)[0]
+
+
+def _grid_case(p: int, q: int | float, m: int, n: int):
+    """The grid's regime, decided once: its :class:`SigmaResult` and a
+    zero-argument builder of witness cells, 1-based ``(col, row)`` on the
+    ``M x N`` board with ``M >= N``, or ``None`` when there is no formula."""
+    SpreadParams(p, q)  # reject malformed p and q before the board
     _check_board(m, n)
     M, N = max(m, n), min(m, n)
-    if N == 1:
-        return _sigma_path(M, p, q)
-    if M == 2:  # 2 x 2 grid is a 4-cycle
-        return _sigma_cycle(4, p, q)
-    max_deg = 3 if N == 2 else 4
-    if p > max_deg:
-        return _formula(m * n)
+    if p > min(M - 1, 2) + min(N - 1, 2):  # p exceeds the maximum degree
+        return _formula(M * N), lambda: {(c, r) for c in range(1, M + 1) for r in range(1, N + 1)}
     if p == 1:
-        return _formula(N if q == 1 else 1)
-    if p == 2:
-        if N == 2:
-            if q == 1 or q == 2:
-                return _not_covered(
-                    "2-row grids with small white budget have no proven formula"
-                )
-            return _formula(_ceil_div(N + M, 2))
         if q == 1:
-            return _formula(_ceil_div(N + M + 1, 2))
-        return _formula(_ceil_div(N + M, 2))
+            return _formula(N), lambda: {(1, r) for r in range(1, N + 1)}
+        return _formula(1), lambda: {(1, 1)}
+    if p == 2:
+        if N == 2 < M and q <= 2:
+            note = "2-row grids with small white budget have no proven formula"
+            return _not_covered(note), None
+        if q == 1 and N >= 3:
+            return _formula(_ceil_div(N + M + 1, 2)), lambda: _first_row_col_seed(M, N)
+        if q == 1 and M == 2:  # the 4-cycle: any three vertices
+            return _formula(3), lambda: {(1, 1), (1, 2), (2, 1)}
+        # On a single row the every-other-cell pattern already meets the
+        # strict white budget, so the diagonal seed covers q = 1 too.
+        return _formula(_ceil_div(N + M, 2)), lambda: _diagonal_seed(M, N)
     if p == 3:
-        return SigmaResult(value=None, status="open")
+        return SigmaResult(value=None, status="open"), None
     # p == 4 on grids with both sides >= 3: all boundary vertices are forced
     # and the interior needs a vertex cover.
-    return _formula(2 * M + 2 * N - 4 + ((M - 2) * (N - 2)) // 2)
+    value = 2 * M + 2 * N - 4 + ((M - 2) * (N - 2)) // 2
+    return _formula(value), lambda: _boundary_plus_cover(M, N)
 
 
 def grid_cell_id(c: int, r: int, m: int, n: int) -> int:
@@ -149,6 +154,7 @@ def grid_cell_id(c: int, r: int, m: int, n: int) -> int:
 
 
 def grid_id_cell(v: int, m: int, n: int) -> tuple[int, int]:
+    """1-based cell ``(col, row)`` of vertex ``v`` in the ``m x n`` grid."""
     if not 0 <= v < m * n:
         raise ValueError(f"vertex {v} outside {m} x {n} grid")
     return (v // n + 1, v % n + 1)
@@ -167,14 +173,15 @@ def _diagonal_seed(M: int, N: int) -> set[tuple[int, int]]:
 
 
 def _first_row_col_seed(M: int, N: int) -> set[tuple[int, int]]:
-    """Bottom-row/left-column seed for the strict ``q = 1`` regime, N <= M.
+    """Bottom-row/left-column seed for the strict ``q = 1`` regime.
 
     Shape depends on the parities: a doubled start in the bottom row plus
     every other column, and every other row up the left column, with a
     doubled cell at whichever end the parity demands.
     """
     if (M + N) % 2 == 1:
-        assert M % 2 == 0 and N % 2 == 1
+        if M % 2 == 1:  # put the even side along the bottom row
+            return {(r, c) for (c, r) in _first_row_col_seed(N, M)}
         cols = {1, 2} | set(range(4, M + 1, 2))
         rows = set(range(3, N + 1, 2))
     elif M % 2 == 1:  # both odd
@@ -211,41 +218,18 @@ def grid_witness(p: int, q: int | float, m: int, n: int) -> frozenset[tuple[int,
     :class:`OpenProblemError`; cases without a proven formula, and grids
     over :data:`~spreadnum.graphs.MAX_GRAPH_SIZE`, raise ``ValueError``.
     """
-    params = SpreadParams(p, q)
-    sig = grid_sigma(p, q, m, n)
+    sig, witness = _grid_case(p, q, m, n)
     if sig.status == "open":
         raise OpenProblemError(f"no witness known for p={p} on the {m}x{n} grid")
-    if sig.status == "not_covered":
-        raise ValueError(sig.note or "case not covered")
-    assert sig.value is not None
+    if witness is None:
+        raise ValueError(sig.note)
     G = build_family(FamilySpec("grid", (m, n)))
-    swapped = n > m
-    M, N = (m, n) if not swapped else (n, m)
-    if sig.value == m * n:
-        cells = {(c, r) for c in range(1, M + 1) for r in range(1, N + 1)}
-    elif p == 1:
-        cells = {(1, r) for r in range(1, N + 1)} if q == 1 else {(1, 1)}
-    elif p == 2:
-        if q == 1 and N >= 3:
-            if (M + N) % 2 == 1 and M % 2 == 1:
-                cells = {(r, c) for (c, r) in _first_row_col_seed(N, M)}
-            else:
-                cells = _first_row_col_seed(M, N)
-        elif q == 1 and M == 2:  # the 4-cycle: any three vertices
-            cells = {(1, 1), (1, 2), (2, 1)}
-        else:
-            # On a single row the every-other-cell pattern already meets the
-            # strict white budget, so the diagonal seed covers q = 1 too.
-            assert q != 1 or N == 1
-            cells = _diagonal_seed(M, N)
-    else:
-        assert p == 4 and N >= 3
-        cells = _boundary_plus_cover(M, N)
-    if swapped:
+    cells = witness()
+    if n > m:
         cells = {(r, c) for (c, r) in cells}
     assert len(cells) == sig.value, "witness size must match the formula"
     ids = [grid_cell_id(c, r, m, n) for c, r in cells]
-    assert is_spreading_set(G, params, ids), "witness failed validation"
+    assert is_spreading_set(G, SpreadParams(p, q), ids), "witness failed validation"
     return frozenset(cells)
 
 

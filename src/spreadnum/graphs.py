@@ -201,21 +201,25 @@ def serialize_edge_list(G: Graph) -> str:
 
 
 def path(n: int) -> Graph:
+    """Path on ``n`` vertices: ``i`` joined to ``i + 1``."""
     _require_size("path", n, 1)
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
+    """Cycle on ``n >= 3`` vertices: ``i`` joined to ``(i + 1) mod n``."""
     _require_size("cycle", n, 3)
     return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
+    """Complete graph on ``n`` vertices."""
     _require_size("complete", n, 1)
     return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite(r: int, s: int) -> Graph:
+    """Complete bipartite graph: sides ``0..r-1`` and ``r..r+s-1``."""
     _require_size("complete_bipartite", r, 1)
     _require_size("complete_bipartite", s, 1)
     return Graph.from_edges(r + s, ((i, r + j) for i in range(r) for j in range(s)))

@@ -198,6 +198,8 @@ def tree_lower_bound(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class UpperBoundReport:
+    """Result of :func:`tree_upper_bound`: the bound, whether it is attained, and why."""
+
     bound: int
     attained: bool
     reason: str

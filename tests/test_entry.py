@@ -100,6 +100,9 @@ def test_every_public_name_resolves_and_is_listed():
     for name in spreadnum.__all__:
         value = getattr(spreadnum, name)
         assert value is getattr(sys.modules[f"spreadnum.{spreadnum._HOME[name]}"], name)
+        # A dataclass without a docstring gets its signature as __doc__.
+        if callable(value):
+            assert value.__doc__ and not value.__doc__.startswith(f"{name}("), name
 
 
 def test_star_import_binds_every_public_name():

@@ -5,11 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spreadnum import (
     INFINITY,
     FamilySpec,
     OpenProblemError,
+    SigmaResult,
     SpreadParams,
     blue_perimeter,
     closure,
@@ -23,6 +26,9 @@ from spreadnum import (
     sigma_closed_form,
     sigma_exact,
 )
+from spreadnum.graphs import FAMILIES
+
+from conftest import naive_closure
 
 P = SpreadParams
 ALL_Q = (1, 2, 3, INFINITY)
@@ -90,6 +96,15 @@ def test_bipartite_covered_regime_against_solver():
                     assert res.value == sigma_exact(g, P(p, q)).value
 
 
+def test_every_family_has_a_closed_form():
+    # sigma_closed_form dispatches on the family name, so a family added to
+    # FAMILIES without a closed form would raise KeyError here.
+    for name, (_, arity, _) in FAMILIES.items():
+        spec = FamilySpec(name, (3 if name == "cycle" else 1,) * arity)
+        for p, q in [(1, 1), (2, 2), (3, INFINITY), (5, 1)]:
+            assert isinstance(sigma_closed_form(spec, P(p, q)), SigmaResult), (name, p, q)
+
+
 def test_star_formula_against_solver():
     from spreadnum import star
 
@@ -132,9 +147,11 @@ def test_grid_symmetric_in_dimensions():
 
 
 def test_grid_against_solver_small():
-    for m, n in [(3, 3), (3, 4), (2, 2), (2, 3), (1, 5), (2, 4)]:
+    # Together these boards reach every regime of the grid table.
+    boards = [(3, 3), (3, 4), (2, 2), (2, 3), (1, 5), (2, 4), (1, 1), (1, 2), (2, 5), (4, 4)]
+    for m, n in boards:
         g = grid(m, n)
-        for p in (1, 2, 4, 5):
+        for p in (1, 2, 3, 4, 5):
             for q in ALL_Q:
                 res = grid_sigma(p, q, m, n)
                 if res.status != "formula":
@@ -189,6 +206,35 @@ def test_grid_witness_small_strips():
         ids = [grid_cell_id(c, r, m, n) for c, r in cells]
         assert len(cells) == grid_sigma(p, q, m, n).value
         assert is_spreading_set(grid(m, n), P(p, q), ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.integers(1, 6),
+    st.sampled_from([1, 2, 3, 4, INFINITY]),
+)
+@example(1, 7, 2, 1)  # 1 x M strips at (2, 1) take the diagonal seed
+@example(8, 1, 2, 1)
+@example(1, 2, 2, 1)
+def test_grid_table_values_and_witnesses_agree(m, n, p, q):
+    res = grid_sigma(p, q, m, n)
+    assert res == grid_sigma(p, q, n, m)
+    if res.status == "open":
+        with pytest.raises(OpenProblemError):
+            grid_witness(p, q, m, n)
+        return
+    if res.status == "not_covered":
+        with pytest.raises(ValueError):
+            grid_witness(p, q, m, n)
+        return
+    assert res.status == "formula"
+    cells = grid_witness(p, q, m, n)
+    assert len(cells) == res.value
+    assert all(1 <= c <= m and 1 <= r <= n for c, r in cells)
+    ids = [grid_cell_id(c, r, m, n) for c, r in cells]
+    assert naive_closure(grid(m, n), P(p, q), ids) == frozenset(range(m * n))
 
 
 def test_cell_id_round_trip():
