@@ -117,9 +117,13 @@ class Graph:
         """Induced subgraph on ``vertices`` plus the new->old id mapping.
 
         Built directly: ``pos`` is monotone, so each neighbor tuple stays
-        sorted.
+        sorted.  The whole vertex set reuses ``adj`` as it is.  The result
+        never carries labels.
         """
-        old = tuple(sorted(set(vertices)))
+        keep = set(vertices)
+        if len(keep) == self.n and keep == set(range(self.n)):
+            return Graph(self.n, self.adj), tuple(range(self.n))
+        old = tuple(sorted(keep))
         pos = {v: i for i, v in enumerate(old)}
         adj = tuple(tuple(pos[u] for u in self.adj[v] if u in pos) for v in old)
         return Graph(len(old), adj), old

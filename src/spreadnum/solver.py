@@ -19,6 +19,15 @@ the search.  Coloring a vertex with ``c`` blue neighbors changes ``H`` by
 ``H > p * r`` with ``r`` seeds still to choose therefore has no spreading
 completion and is not extended.  At the all-white state this is the static
 bound ``|S| >= n - E/p``, the perimeter argument for grids at ``p = 3``.
+
+A completion cutoff ends each level's loop early.  A child that adds
+``free[i]`` can later add only seeds from ``free[i+1:]``, so none of its
+completions colors more than the closure of the prefix plus ``free[i:]``.
+That set shrinks as ``i`` grows; past the last ``i`` where it spreads no
+child has a spreading completion.  A failing suffix leaves a fort, a white
+set no outside vertex can force into, that misses every remaining
+candidate (Brimkov, Fast & Hicks, EJOR 2019).  The edge potential bound is
+empty at ``p = 1`` on any graph with a cycle; the cutoff is not.
 """
 
 from __future__ import annotations
@@ -47,17 +56,19 @@ class BudgetExhausted(RuntimeError):
 
 #: Evaluation cap applied when no budget is given, so a search on an
 #: oversized graph reports exhaustion instead of running forever.  One
-#: evaluation is one closure-kernel call, a node of the subset search; the 5x5
-#: grid at (3, 3) takes 579 of them.  Pass ``Budget(None)`` to lift it.
+#: evaluation is one closure-kernel call, a node of the subset search or a
+#: step of a completion-cutoff scan; the 5x5 grid at (3, 3) takes 194 of
+#: them.  Pass ``Budget(None)`` to lift it.
 DEFAULT_EVALUATION_BUDGET = 5_000_000
 
 
 class Budget:
     """Counts closure evaluations; hardware-independent 'gave up' behavior.
 
-    The subset search charges one evaluation per node, each one call of the
-    closure kernel: the root of each level closes the fixed low-degree
-    vertices, and every other node adds one seed to a prefix closure.
+    The subset search charges one evaluation per call of the closure
+    kernel: the root of each level closes the fixed low-degree vertices,
+    every other node adds one seed to a prefix closure, and each step of a
+    completion-cutoff scan adds one candidate to the scan's closure.
     """
 
     __slots__ = ("limit", "used")
@@ -115,10 +126,18 @@ def _spreading_sets(
     cannot be a minimum spreading set.  Each prefix also carries its edge
     potential ``h`` (see the module docstring), which the kernel's gains
     update incrementally; a prefix with ``r`` seeds still to choose is extended
-    only if ``h <= p * r``.  This cuts only subtrees with no spreading
-    completion, so the sets found and their order do not depend on it.
-    Every node, the root and the pruned ones included, costs one budget
-    evaluation.
+    only if ``h <= p * r``.
+
+    A node whose children still choose seeds also finds its completion
+    cutoff ``c`` (see the module docstring): a copy of its closure takes
+    ``free[-1]``, ``free[-2]``, ... down to the first ``free[c]`` after
+    which it spreads, and the loop stops after child ``c``; with no such
+    ``c`` at or after ``start`` the node has no children.  The kernel
+    resumes, so one scan costs at most one closure's coloring work.  Both
+    prunes cut only subtrees with no spreading completion, so the sets
+    found and their order do not depend on them.  Every kernel call costs
+    one budget evaluation: each node, the root and the pruned ones
+    included, and each scan step that adds a white candidate.
     """
     n, p = G.n, params.p
     qe = params.effective_q(n)
@@ -133,7 +152,19 @@ def _spreading_sets(
         blue: bytearray, bc: list[int], h: int, start: int, members: tuple[int, ...]
     ) -> Iterator[frozenset[int]]:
         rest = k - len(members) - 1
-        for i in range(start, len(free) - rest):
+        stop = len(free) - rest
+        if rest:
+            # Completion cutoff: the last c whose suffix closure spreads.
+            cut, cut_bc, c = bytearray(blue), bc[:], len(free)
+            while 0 in cut:
+                c -= 1
+                if c < start:
+                    return
+                if not cut[free[c]]:
+                    charge()
+                    _spread(adj, deg, p, qe, cut, cut_bc, (free[c],))
+            stop = min(stop, c + 1)
+        for i in range(start, stop):
             v = free[i]
             if blue[v]:
                 continue

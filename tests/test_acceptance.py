@@ -187,11 +187,11 @@ def test_criterion_5_grid_values():
     assert v[3] == 5 and v[1] == 6
     assert v[1] > v[2] == v[3] == v[4]
     probes = []
-    for m, n in [(3, 3), (3, 4), (4, 4), (5, 5), (6, 5)]:
+    for m, n in [(3, 3), (3, 4), (4, 4), (5, 5), (6, 5), (6, 6)]:
         probe = probe_grid_conjecture(m, n)
         assert probe.equal is True, (m, n, probe)
         probes.append(f"{m}x{n}:{probe.sigma_33}")
-    assert probes[-2:] == ["5x5:12", "6x5:15"]
+    assert probes[-3:] == ["5x5:12", "6x5:15", "6x6:18"]
     _report(
         5,
         "grid values",

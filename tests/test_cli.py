@@ -177,6 +177,12 @@ def test_probe_conjecture_6x5_within_default_budget(capsys):
     assert doc["sigma_33"] == doc["sigma_34"] == 15 and doc["equal"] is True
 
 
+def test_probe_conjecture_6x6_within_default_budget(capsys):
+    code, doc = run_json(capsys, "probe-conjecture", "--m", "6", "--n", "6")
+    assert code == 0
+    assert doc["sigma_33"] == doc["sigma_34"] == 18 and doc["equal"] is True
+
+
 def test_probe_budget_exit(capsys):
     code, doc = run_json(capsys, "probe-conjecture", "--m", "3", "--n", "3", "--budget", "2")
     assert code == 3

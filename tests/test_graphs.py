@@ -273,3 +273,14 @@ def test_induced_subgraph():
         edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
         assert old == tuple(sorted(set(keep)))
         assert sub == Graph.from_edges(len(old), edges)
+
+
+def test_induced_on_every_vertex_reuses_adjacency():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], labels={0: "a"})
+    for keep in (range(4), [3, 2, 1, 0, 0], frozenset(range(4))):
+        sub, old = g.induced(keep)
+        assert old == (0, 1, 2, 3)
+        assert sub.adj is g.adj
+        assert sub == Graph(4, g.adj)  # labels dropped, as on any subset
+    sub, old = g.induced([0, 1, 2])
+    assert sub.labels is None and old == (0, 1, 2)

@@ -171,6 +171,23 @@ def test_lower_bound_never_exceeds_the_unpruned_minimum(case):
     assert lower_bound(g, params) <= sigma_exact(g, params).value == naive_sigma(g, params)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_small_graphs())
+def test_pruned_search_yields_the_unpruned_sequence(case):
+    # Both prunes (the edge potential and the completion cutoff) drop only
+    # subtrees without a spreading set, so the search must produce exactly
+    # the minimum spreading sets that brute force finds, in its order.
+    g, params = case
+    k = naive_sigma(g, params)
+    minimum = [
+        frozenset(c)
+        for c in combinations(range(g.n), k)
+        if naive_is_spreading(g, params, c)
+    ]
+    assert enumerate_minimum_sets(g, params) == sorted(minimum, key=sorted)
+    assert sigma_exact(g, params).witness == minimum[0]
+
+
 def test_enumerate_path_endpoints():
     sets = enumerate_minimum_sets(path(3), P(1, 1))
     assert sets == [frozenset({0}), frozenset({2})]
@@ -255,6 +272,14 @@ def test_budget_object_is_shared_across_calls():
 def test_budget_rejects_nonpositive():
     with pytest.raises(ValueError):
         Budget(0)
+
+
+def test_budget_counts_cutoff_scans_on_the_5x5_grid():
+    # 194 evaluations: search nodes plus the completion-cutoff scan steps
+    # (579 with the edge potential alone).
+    used = Budget(None)
+    assert sigma_exact(grid(5, 5), P(3, 3), used).value == 12
+    assert used.used == 194
 
 
 def test_default_budget_bounds_unbudgeted_calls():
