@@ -113,21 +113,6 @@ class Graph:
     def is_tree(self) -> bool:
         return self.is_connected and self.edge_count == self.n - 1
 
-    def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
-        """Induced subgraph on ``vertices`` plus the new->old id mapping.
-
-        Built directly: ``pos`` is monotone, so each neighbor tuple stays
-        sorted.  The whole vertex set reuses ``adj`` as it is.  The result
-        never carries labels.
-        """
-        keep = set(vertices)
-        if len(keep) == self.n and keep == set(range(self.n)):
-            return Graph(self.n, self.adj), tuple(range(self.n))
-        old = tuple(sorted(keep))
-        pos = {v: i for i, v in enumerate(old)}
-        adj = tuple(tuple(pos[u] for u in self.adj[v] if u in pos) for v in old)
-        return Graph(len(old), adj), old
-
 
 def _bfs(adj, root: int, parent: list[int]) -> list[int]:
     """Breadth-first order from ``root`` over the vertices whose ``parent`` is

@@ -9,8 +9,9 @@ a child adds one more seed to its parent's fixpoint and runs the rule from
 there instead of starting over.  A vertex the prefix closure already
 colors is never added, because the set would close like one of the
 previous level, which failed or lies below the static bound.  Vertices of
-degree below ``p`` can never be forced and are fixed in every candidate,
-and components are solved independently.
+degree below ``p`` can never be forced and are fixed in every candidate.
+Each component is searched on its own, renumbered in id order so every
+node's state has the component's size, and without recursion.
 
 The edge potential ``H = p * |white| - |edges with a white end|`` prunes
 the search.  Coloring a vertex with ``c`` blue neighbors changes ``H`` by
@@ -33,7 +34,7 @@ empty at ``p = 1`` on any graph with a cycle; the cutoff is not.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .engine import SigmaResult, SpreadParams, _spread, closure
 from .graphs import Graph
@@ -103,20 +104,24 @@ def lower_bound(G: Graph, params: SpreadParams) -> int:
     ``ceil(((p-1)n + 1) / p)``, on ``m x n`` grids at ``p = 3`` it is
     ``ceil((mn + m + n) / 3)``.
     """
-    n = G.n
-    p = params.p
+    return _degree_bound(G.degrees, params.p)
+
+
+def _degree_bound(degrees: Sequence[int], p: int) -> int:
+    """:func:`lower_bound` of a union of components with these degrees."""
+    n = len(degrees)
     return max(
         min(p, n),
-        sum(1 for d in G.degrees if d < p),
-        -((G.edge_count - p * n) // p),
+        sum(1 for d in degrees if d < p),
+        -((sum(degrees) // 2 - p * n) // p),
     )
 
 
 def _spreading_sets(
-    G: Graph, params: SpreadParams, budget: Budget, k: int
+    adj: Sequence[Sequence[int]], params: SpreadParams, budget: Budget, k: int
 ) -> Iterator[frozenset[int]]:
-    """Spreading sets of size ``k`` in lexicographic order; all minimum ones
-    when ``k`` is the spreading number.
+    """Spreading sets of size ``k`` of the graph with adjacency ``adj``, in
+    lexicographic order; all minimum ones when ``k`` is its spreading number.
 
     Every set holds all vertices of degree below ``p`` (they can never be
     forced) plus free vertices chosen depth first in ascending order.  Each
@@ -137,20 +142,19 @@ def _spreading_sets(
     prunes cut only subtrees with no spreading completion, so the sets
     found and their order do not depend on them.  Every kernel call costs
     one budget evaluation: each node, the root and the pruned ones
-    included, and each scan step that adds a white candidate.
+    included, and each scan step that adds a white candidate.  Suspended
+    nodes wait on an explicit stack, not on Python's call stack.
     """
-    n, p = G.n, params.p
+    n, p = len(adj), params.p
     qe = params.effective_q(n)
-    adj, deg = G.adj, G.degrees
+    deg = [len(nbrs) for nbrs in adj]
     forced = tuple(v for v in range(n) if deg[v] < p)
     free = [v for v in range(n) if deg[v] >= p]
-    if not len(forced) <= k <= n:
-        return
     charge = budget.charge
 
     def extend(
         blue: bytearray, bc: list[int], h: int, start: int, members: tuple[int, ...]
-    ) -> Iterator[frozenset[int]]:
+    ) -> Iterator:
         rest = k - len(members) - 1
         stop = len(free) - rest
         if rest:
@@ -173,15 +177,23 @@ def _spreading_sets(
             child_h = h + _spread(adj, deg, p, qe, child, child_bc, (v,))
             if rest:
                 if child_h <= p * rest:
-                    yield from extend(child, child_bc, child_h, i + 1, members + (v,))
+                    yield extend(child, child_bc, child_h, i + 1, members + (v,))
             elif 0 not in child:
                 yield frozenset(members + (v,))
 
     charge()
     blue, bc = bytearray(n), [0] * n
-    h = p * n - G.edge_count + _spread(adj, deg, p, qe, blue, bc, forced)
+    h = p * n - sum(deg) // 2 + _spread(adj, deg, p, qe, blue, bc, forced)
     if len(forced) < k:
-        yield from extend(blue, bc, h, 0, forced)
+        stack = [extend(blue, bc, h, 0, forced)]
+        while stack:
+            found = next(stack[-1], None)
+            if found is None:
+                stack.pop()
+            elif isinstance(found, frozenset):
+                yield found
+            else:
+                stack.append(found)
     elif 0 not in blue:
         yield frozenset(forced)
 
@@ -204,31 +216,28 @@ def sigma_exact(
     if G.n < 1:
         raise ValueError("graph must have at least one vertex")
     b = _as_budget(budget)
-    total = 0
     witness: set[int] = set()
-    comps = G.components()
-    for idx, comp in enumerate(comps):
-        sub, old_ids = G.induced(comp)
-        for k in range(lower_bound(sub, params), sub.n + 1):
+    parts = [sorted(comp) for comp in G.components()]
+    bounds = [_degree_bound([G.degrees[v] for v in part], params.p) for part in parts]
+    for idx, part in enumerate(parts):
+        # Renumbered in id order, so each node's state is the component's size.
+        pos = {v: i for i, v in enumerate(part)}
+        adj = [tuple(pos[w] for w in G.adj[v]) for v in part]
+        for k in range(bounds[idx], len(part) + 1):
             try:
-                local = next(_spreading_sets(sub, params, b, k), None)
+                found = next(_spreading_sets(adj, params, b, k), None)
             except BudgetExhausted as exc:
-                rest = sum(
-                    lower_bound(G.induced(c)[0], params) for c in comps[idx + 1 :]
-                )
-                raise BudgetExhausted(
-                    str(exc), evaluations=exc.evaluations, lower_bound=total + k + rest
-                ) from None
-            if local is not None:
+                exc.lower_bound = len(witness) + k + sum(bounds[idx + 1 :])
+                raise
+            if found is not None:
                 break
         else:
             raise AssertionError("the full vertex set always spreads")
-        total += k
-        witness.update(old_ids[v] for v in local)
+        witness.update(part[v] for v in found)
     final, trace = closure(G, params, witness)
     assert final == frozenset(range(G.n)), "witness failed re-validation"
     return SigmaResult(
-        value=total, status="exact", witness=frozenset(witness), trace=trace
+        value=len(witness), status="exact", witness=frozenset(witness), trace=trace
     )
 
 
@@ -253,4 +262,5 @@ def _minimum_sets(
     """The spreading number and :func:`enumerate_minimum_sets`, from one
     :func:`sigma_exact` search."""
     k = sigma_exact(G, params, budget).value
-    return k, sorted(islice(_spreading_sets(G, params, budget, k), limit), key=sorted)
+    sets = _spreading_sets(G.adj, params, budget, k)
+    return k, sorted(islice(sets, limit), key=sorted)

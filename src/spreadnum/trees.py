@@ -323,55 +323,45 @@ def check_property_pnp(
             for s in members[r]:
                 root_of[s] = r
     seed_edges_total = len(S) - len(members)  # a forest: vertices - components
-    if len(S) != need:
-        return PnpReport(
-            holds=False,
-            reason=f"seed set has size {len(S)}, certificate needs {need}",
-            seed_set=S,
-            ordering=ordering,
-            remainder=remainder,
-            excess_sum=0,
-            seed_edges=seed_edges_total,
-            steps=(),
-        )
-    in_forest = bytearray(n)
-    forest_size = k_t = blue_total = 0
     steps: list[PnpStep] = []
-    blue_counts: list[int] = []
-    for v in ordering:
-        pulled: list[int] = []
-        for u in T.adj[v]:
-            part = members.pop(root_of[u], None)
-            if part is not None:
-                pulled += part
-                k_t += len(part) - 1
-        for x in (v, *pulled):
-            in_forest[x] = 1
-        forest_size += 1 + len(pulled)
-        nfi = sum(in_forest[u] for u in T.adj[v])
-        blue_counts.append(nfi)
-        blue_total += nfi
-        # The forest's edges are its seed edges plus each step's edges back
-        # into the forest, so its components are vertices minus those.
-        steps.append(
-            PnpStep(
-                vertex=v,
-                pulled=tuple(sorted(pulled)),
-                blue_neighbors=nfi,
-                seed_edges=k_t,
-                forest_components=forest_size - k_t - blue_total,
+    if len(S) == need:
+        in_forest = bytearray(n)
+        forest_size = k_t = blue_total = 0
+        for v in ordering:
+            pulled: list[int] = []
+            for u in T.adj[v]:
+                part = members.pop(root_of[u], None)
+                if part is not None:
+                    pulled += part
+                    k_t += len(part) - 1
+            for x in (v, *pulled):
+                in_forest[x] = 1
+            forest_size += 1 + len(pulled)
+            nfi = sum(in_forest[u] for u in T.adj[v])
+            blue_total += nfi
+            # The forest's edges are its seed edges plus each step's edges back
+            # into the forest, so its components are vertices minus those.
+            steps.append(
+                PnpStep(
+                    vertex=v,
+                    pulled=tuple(sorted(pulled)),
+                    blue_neighbors=nfi,
+                    seed_edges=k_t,
+                    forest_components=forest_size - k_t - blue_total,
+                )
             )
-        )
-    excess = sum(c - p for c in blue_counts)
-    assert not ordering or all(in_forest), "complete ordering must absorb every seed"
-    # Each edge of T is a seed edge or a forced-neighbor edge, and |S| = need
-    # leaves floor((n-1)/p) ordered vertices: seed edges + excess is exactly
-    # rem(n-1, p), so a certificate whose steps all reach p always holds.
-    assert n - 1 == p * len(ordering) + seed_edges_total + excess
-    assert seed_edges_total + excess == remainder
+        assert not ordering or all(in_forest), "complete ordering must absorb every seed"
+        # Each edge of T is a seed edge or a forced-neighbor edge, and |S| = need
+        # leaves floor((n-1)/p) ordered vertices: seed edges + excess is exactly
+        # rem(n-1, p), so a certificate whose steps all reach p always holds.
+        assert n - 1 == seed_edges_total + blue_total
+        assert seed_edges_total + blue_total - p * len(ordering) == remainder
+    short = [t for t, step in enumerate(steps, 1) if step.blue_neighbors < p]
     reason = None
-    if any(c < p for c in blue_counts):
-        first = next(t for t, c in enumerate(blue_counts, 1) if c < p)
+    if len(S) != need:
+        reason = f"seed set has size {len(S)}, certificate needs {need}"
+    elif short:
+        first = short[0]
         reason = f"step {first}: vertex {ordering[first - 1]} has fewer than {p} forest neighbors"
     return PnpReport(
         holds=reason is None,
@@ -379,7 +369,7 @@ def check_property_pnp(
         seed_set=S,
         ordering=ordering,
         remainder=remainder,
-        excess_sum=excess,
+        excess_sum=sum(step.blue_neighbors - p for step in steps),
         seed_edges=seed_edges_total,
         steps=tuple(steps),
     )

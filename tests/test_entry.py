@@ -220,3 +220,12 @@ def test_oversized_input_is_rejected_before_allocating(tmp_path, argv):
     assert proc.returncode == 2, proc.stderr[-500:]
     assert proc.stdout == ""
     assert "too large" in proc.stderr
+
+
+def test_deep_search_runs_without_recursion():
+    # A path at (2, 1) needs 1,051 of its 2,100 vertices, so the subset search
+    # is over a thousand seeds deep: deeper than Python's recursion limit.
+    argv = ["solve", "--family", "path", "2100", "--p", "2", "--q", "1"]
+    proc = _python("-m", "spreadnum.cli", *argv, memory_mb=256)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert json.loads(proc.stdout)["value"] == 1051

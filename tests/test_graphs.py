@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +25,7 @@ from spreadnum import (
 from spreadnum import graphs
 from spreadnum.graphs import FAMILIES
 
-from conftest import _components_within, random_graph
+from conftest import _components_within
 
 
 def test_parse_small_path():
@@ -256,31 +254,3 @@ def test_round_trip_exact(g, rng):
 def test_bipartite_layout():
     g = complete_bipartite(4, 2)
     assert sorted(g.degrees) == [2, 2, 2, 2, 4, 4]
-
-
-def test_induced_subgraph():
-    g = cycle(6)
-    sub, old = g.induced({1, 2, 3})
-    assert old == (1, 2, 3)
-    assert list(sub.edges()) == [(0, 1), (1, 2)]
-    # the direct build equals from_edges on the relabelled induced edges
-    rng = random.Random(17)
-    for _ in range(100):
-        g = random_graph(rng.randrange(0, 12), rng.random(), rng)
-        keep = [v for v in range(g.n) if rng.random() < 0.6] * 2
-        sub, old = g.induced(keep)
-        pos = {v: i for i, v in enumerate(old)}
-        edges = [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos]
-        assert old == tuple(sorted(set(keep)))
-        assert sub == Graph.from_edges(len(old), edges)
-
-
-def test_induced_on_every_vertex_reuses_adjacency():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)], labels={0: "a"})
-    for keep in (range(4), [3, 2, 1, 0, 0], frozenset(range(4))):
-        sub, old = g.induced(keep)
-        assert old == (0, 1, 2, 3)
-        assert sub.adj is g.adj
-        assert sub == Graph(4, g.adj)  # labels dropped, as on any subset
-    sub, old = g.induced([0, 1, 2])
-    assert sub.labels is None and old == (0, 1, 2)

@@ -188,6 +188,38 @@ def test_pruned_search_yields_the_unpruned_sequence(case):
     assert sigma_exact(g, params).witness == minimum[0]
 
 
+@settings(max_examples=150, deadline=None)
+@given(_small_graphs(), _small_graphs(), st.integers(0, 2))
+def test_disjoint_union_searches_each_component_alone(first, second, isolated):
+    # Each component is searched alone, renumbered in id order; a search
+    # that read or colored a vertex outside its component, or mapped its
+    # witness back wrongly, would change a value, a witness or a count.
+    (a, params), (b, _) = first, second
+    b = Graph.from_edges(b.n + isolated, b.edges())
+    shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
+    union = Graph.from_edges(a.n + b.n, [*a.edges(), *shifted])
+    used = [Budget(None) for _ in range(3)]
+    ra, rb, ru = (sigma_exact(g, params, u) for g, u in zip((a, b, union), used))
+    assert ru.value == ra.value + rb.value
+    assert ru.witness == ra.witness | {v + a.n for v in rb.witness}
+    assert used[2].used == used[0].used + used[1].used
+
+
+def test_many_components_take_linear_time():
+    import time
+
+    # 40,000 matched pairs and 40,000 isolated vertices: 60,000 components.
+    # Each is searched at its own size in about a second; a search whose
+    # every node held state for the whole graph would take half a minute.
+    n = 80_000
+    g = Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 4)])
+    start = time.time()
+    res = sigma_exact(g, P(1, 1), Budget(None))
+    assert res.value == 60_000
+    assert res.witness == frozenset(range(0, n // 2, 2)) | set(range(n // 2, n))
+    assert time.time() - start < 10
+
+
 def test_enumerate_path_endpoints():
     sets = enumerate_minimum_sets(path(3), P(1, 1))
     assert sets == [frozenset({0}), frozenset({2})]
