@@ -1,9 +1,11 @@
 """Command-line entry point: one JSON document per invocation.
 
-Every subcommand is a thin adapter over the library; no computation lives
-here.  Exit codes: 0 success, 2 invalid input, 3 evaluation budget
-exhausted, 4 open/unresolved case, so scripts can branch on the outcome.
-``q`` is spelled ``inf`` for the unconstrained white budget.
+Every subcommand is a thin adapter over the library: no computation lives
+here, and the library validates every parameter.  A graph comes from one
+source, ``--edges`` or ``--family``.  Exit codes: 0 success, 2 invalid
+input, 3 evaluation budget exhausted, 4 open/unresolved case, so scripts
+can branch on the outcome.  ``q`` is spelled ``inf`` for the unconstrained
+white budget.
 
 Each command imports only the submodules it runs, inside :func:`_run`:
 without a bytecode cache every process compiles the source it imports, so
@@ -19,6 +21,7 @@ from math import inf
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from .engine import SigmaResult
     from .graphs import Graph
 
 EXIT_OK = 0
@@ -65,17 +68,18 @@ def _parse_cells(text: str) -> list[tuple[int, int]]:
 def _load_graph(args: argparse.Namespace) -> Graph:
     from .graphs import build_family, family_from_tokens, parse_edge_list
 
-    if getattr(args, "edges", None):
+    if args.edges:
         with open(args.edges, "r", encoding="utf-8") as fh:
             return parse_edge_list(fh.read())
-    if getattr(args, "family", None):
+    if args.family:
         return build_family(family_from_tokens(args.family))
     raise ValueError("a graph is required: pass --edges FILE or --family NAME ARGS")
 
 
 def _add_graph_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--edges", metavar="FILE", help="edge-list file")
-    sub.add_argument(
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--edges", metavar="FILE", help="edge-list file")
+    source.add_argument(
         "--family",
         nargs="+",
         metavar="NAME",
@@ -93,8 +97,8 @@ def _emit(doc: dict, code: int = EXIT_OK) -> int:
     return code
 
 
-def _sigma_exit(doc: dict) -> int:
-    return _emit(doc, EXIT_OPEN if doc.get("status") == "open" else EXIT_OK)
+def _sigma_exit(res: SigmaResult) -> int:
+    return _emit(res.to_json(), EXIT_OPEN if res.status == "open" else EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,49 +179,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args: argparse.Namespace) -> int:
-    cmd = args.command
-    if cmd in ("closure", "check"):
-        from .engine import SpreadParams, check_spreading_sequence, closure, is_spreading_set
+    from .engine import SpreadParams, check_spreading_sequence, closure, is_spreading_set
 
-        G = _load_graph(args)
+    cmd = args.command
+    G = _load_graph(args) if "edges" in args else None
+    if cmd in ("closure", "check", "solve", "tree"):
         params = SpreadParams(args.p, args.q)
-        if cmd == "closure":
-            _, trace = closure(G, params, args.set)
-            return _emit(trace.to_json())
+    if cmd == "closure":
+        _, trace = closure(G, params, args.set)
+        return _emit(trace.to_json())
+    if cmd == "check":
         if args.sequence is not None:
             ok = check_spreading_sequence(G, params, args.set, args.sequence)
             return _emit({"valid_sequence": ok})
         return _emit({"spreading": is_spreading_set(G, params, args.set)})
     if cmd == "solve":
-        from .engine import SpreadParams
         from .solver import sigma_exact
 
-        G = _load_graph(args)
-        res = sigma_exact(G, SpreadParams(args.p, args.q), args.budget)
-        return _sigma_exit(res.to_json())
+        return _sigma_exit(sigma_exact(G, params, args.budget))
     if cmd == "tree":
-        from .engine import SpreadParams
         from .trees import sigma_tree
 
-        G = _load_graph(args)
-        return _sigma_exit(sigma_tree(G, SpreadParams(args.p, args.q)).to_json())
+        return _sigma_exit(sigma_tree(G, params))
     if cmd == "partition":
         from .trees import subtree_partition
 
-        G = _load_graph(args)
         return _emit(subtree_partition(G, args.q).to_json())
     if cmd == "formula":
-        from .engine import SpreadParams
         from .formulas import sigma_closed_form
         from .graphs import family_from_tokens
 
         spec = family_from_tokens(args.family)
-        res = sigma_closed_form(spec, SpreadParams(args.p, args.q))
-        return _sigma_exit(res.to_json())
+        return _sigma_exit(sigma_closed_form(spec, SpreadParams(args.p, args.q)))
     if cmd == "grid":
         from .formulas import grid_sigma
 
-        return _sigma_exit(grid_sigma(args.p, args.q, args.m, args.n).to_json())
+        return _sigma_exit(grid_sigma(args.p, args.q, args.m, args.n))
     if cmd == "witness":
         from .formulas import grid_witness
 
@@ -230,14 +227,9 @@ def _run(args: argparse.Namespace) -> int:
     if cmd == "gadget":
         from .gadgets import build_qforcing_gadget, build_spreading_gadget
 
-        G = _load_graph(args)
         if args.kind == "qforcing":
-            if args.q is None:
-                raise ValueError("qforcing gadget requires --q")
             out = build_qforcing_gadget(G, args.q)
         else:
-            if args.p is None:
-                raise ValueError("spreading gadget requires --p")
             out = build_spreading_gadget(G, args.p)
         return _emit(
             {
@@ -249,12 +241,9 @@ def _run(args: argparse.Namespace) -> int:
     if cmd == "certify":
         from .gadgets import certify_qforcing_gadget, certify_spreading_gadget
 
-        G = _load_graph(args)
         if args.kind == "qforcing":
             cert = certify_qforcing_gadget(G, args.q, args.budget)
         else:
-            if args.p is None:
-                raise ValueError("spreading certification requires --p")
             cert = certify_spreading_gadget(G, args.p, args.q, args.budget)
         return _emit(cert.to_json())
     if cmd == "probe-conjecture":
@@ -266,7 +255,6 @@ def _run(args: argparse.Namespace) -> int:
     if cmd == "property-pnp":
         from .trees import check_property_pnp, search_property_pnp
 
-        G = _load_graph(args)
         if args.set is not None and args.ordering is not None:
             report = check_property_pnp(G, args.p, args.set, args.ordering)
             return _emit(report.to_json())

@@ -154,7 +154,8 @@ def grid_cell_id(c: int, r: int, m: int, n: int) -> int:
 
 
 def grid_id_cell(v: int, m: int, n: int) -> tuple[int, int]:
-    """1-based cell ``(col, row)`` of vertex ``v`` in the ``m x n`` grid."""
+    """1-based cell ``(col, row)`` of vertex ``v`` in the ``m x n`` grid; the inverse
+    of :func:`grid_cell_id`, to read a trace as cells for :func:`blue_perimeter`."""
     if not 0 <= v < m * n:
         raise ValueError(f"vertex {v} outside {m} x {n} grid")
     return (v // n + 1, v % n + 1)

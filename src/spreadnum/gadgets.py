@@ -13,6 +13,7 @@ constructive "lift" of every minimum base set.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
 from .engine import SpreadParams, is_spreading_set
 from .graphs import Graph, _check_size
@@ -58,10 +59,8 @@ def build_qforcing_gadget(G: Graph, q: int) -> Graph:
             labels[v] = f"b{j}^{i}"
         for j, v in enumerate(c, 1):
             labels[v] = f"c{j}^{i}"
-        ab = a + b
-        edges.extend((ab[x], ab[y]) for x in range(len(ab)) for y in range(x + 1, len(ab)))
-        bc = b + c
-        edges.extend((bc[x], bc[y]) for x in range(len(bc)) for y in range(x + 1, len(bc)))
+        edges.extend(combinations(a + b, 2))
+        edges.extend(combinations(b + c, 2))
     return Graph.from_edges(3 * q * n, edges, labels)
 
 

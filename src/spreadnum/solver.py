@@ -263,4 +263,4 @@ def _minimum_sets(
     :func:`sigma_exact` search."""
     k = sigma_exact(G, params, budget).value
     sets = _spreading_sets(G.adj, params, budget, k)
-    return k, sorted(islice(sets, limit), key=sorted)
+    return k, list(islice(sets, limit))

@@ -32,17 +32,14 @@ def _require_tree(T: Graph) -> None:
         raise ValueError("expected a tree (connected, |E| = n - 1)")
 
 
-def _rooted(T: Graph) -> tuple[list[int], list[int], list[int]]:
-    """BFS order, parents (-1 at the root) and depths of the tree ``T``,
-    rooted at its lowest-id non-leaf vertex (vertex 0 if it has none)."""
+def _rooted(T: Graph) -> tuple[list[int], list[int]]:
+    """BFS order and parents (-1 at the root) of the tree ``T``, rooted at
+    its lowest-id non-leaf vertex (vertex 0 if it has none).  Every parent
+    comes before its children, so the reversed order is children first."""
     _require_tree(T)
     root = next((v for v in range(T.n) if T.degree(v) >= 2), 0)
     parent = [-2] * T.n
-    order = _bfs(T.adj, root, parent)
-    depth = [0] * T.n
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-    return order, parent, depth
+    return _bfs(T.adj, root, parent), parent
 
 
 @dataclass(frozen=True)
@@ -89,42 +86,37 @@ def partition_is_valid(T: Graph, q: int, partition: Partition) -> bool:
 def subtree_partition(T: Graph, q: int) -> Partition:
     """Smallest partition of a tree into induced subtrees of max degree q+1.
 
-    A bottom-up pass over a BFS layering picks the parts and a top-down pass
-    fills them (linear time): the deepest vertex whose remaining degree
-    exceeds ``q + 1`` keeps itself plus its ``q + 1`` lowest-id child
-    subtrees as one part, its remaining child subtrees split off as whole
-    parts, and the processed subtree is removed.  Whatever survives to the
-    root is one final part.
+    A bottom-up pass, children first, picks the parts and a top-down pass
+    fills them (linear time): a vertex whose remaining degree exceeds
+    ``q + 1`` keeps itself plus its ``q + 1`` lowest-id child subtrees as
+    one part, its remaining child subtrees split off as whole parts, and
+    the processed subtree is removed.  Whatever survives to the root is one
+    final part.  Each choice reads only the vertex's children, so any
+    children-first order finds the same parts.
     """
     _require_tree(T)
     if not isinstance(q, int) or q < 1:
         raise ValueError(f"q must be a positive integer, got {q!r}")
-    n = T.n
-    order, parent, depth = _rooted(T)
+    order, parent = _rooted(T)
     root = order[0]
-    by_depth: list[list[int]] = [[] for _ in range(max(depth) + 1)]
-    for v in range(n):
-        by_depth[depth[v]].append(v)
     # Bottom up: part[v] is the index of the part that v heads, or -1.  A
     # child heading a part has left its parent's remaining subtree, so cs
     # holds the children still in it; the root heads whatever is left.
-    part = [-1] * n
+    part = [-1] * T.n
     count = 0
-    for layer in reversed(by_depth):
-        for x in layer:
-            cs = [c for c in T.adj[x] if c != parent[x] and part[c] < 0]
-            if len(cs) <= q and x != root:
-                continue
-            for c in cs[q + 1 :] + [x]:
-                part[c] = count
-                count += 1
+    for x in reversed(order):
+        cs = [c for c in T.adj[x] if c != parent[x] and part[c] < 0]
+        if len(cs) <= q and x != root:
+            continue
+        for c in cs[q + 1 :] + [x]:
+            part[c] = count
+            count += 1
     # Top down: every other vertex joins the part of its parent.
     members: list[list[int]] = [[] for _ in range(count)]
-    for layer in by_depth:
-        for v in layer:
-            if part[v] < 0:
-                part[v] = part[parent[v]]
-            members[part[v]].append(v)
+    for v in order:
+        if part[v] < 0:
+            part[v] = part[parent[v]]
+        members[part[v]].append(v)
     result = Partition(tuple(frozenset(m) for m in members))
     assert partition_is_valid(T, q, result)
     return result
@@ -149,7 +141,7 @@ def _percolating_seeds(T: Graph, p: int) -> frozenset[int]:
     active child has its parent as its only white neighbor, and a waiting
     vertex has ``p - 1 >= 1`` such children.
     """
-    order, parent, _ = _rooted(T)
+    order, parent = _rooted(T)
     root = order[0]
     active_children = [0] * T.n
     seeds = []

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spreadnum import solver
 from spreadnum.cli import main
 
 
@@ -165,6 +166,24 @@ def test_certify_rejects_gadget_parameters_before_searching(capsys, argv):
     assert code == 2 and out == "" and ">= 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gadget", "--kind", "qforcing"],
+        ["gadget", "--kind", "spreading"],
+        ["certify", "--kind", "spreading", "--q", "1"],
+    ],
+    ids=["gadget-qforcing", "gadget-spreading", "certify-spreading"],
+)
+def test_missing_gadget_parameter_is_invalid(capsys, monkeypatch, argv):
+    # The gadget module rejects the missing parameter before any search.
+    charged = []
+    monkeypatch.setattr(solver.Budget, "charge", lambda self: charged.append(self))
+    code, out, err = run_cli(capsys, argv[0], "--family", "grid", "3", "3", *argv[1:])
+    assert code == 2 and out == "" and charged == []
+    assert err.startswith("error: gadget requires integer") and err.rstrip().endswith("None")
+
+
 def test_probe_conjecture(capsys):
     code, doc = run_json(capsys, "probe-conjecture", "--m", "3", "--n", "3")
     assert code == 0
@@ -205,6 +224,14 @@ def test_property_pnp_search_beyond_small_trees(capsys):
     code, doc = run_json(capsys, "property-pnp", "--family", "path", "20", "--p", "2")
     assert code == 0 and doc["found"] is True and doc["holds"] is True
     assert len(doc["set"]) == 11 and len(doc["ordering"]) == 9
+
+
+def test_property_pnp_set_without_ordering_is_invalid(capsys):
+    code, out, err = run_cli(
+        capsys, "property-pnp", "--family", "path", "5", "--p", "2", "--set", "0,2,4"
+    )
+    assert code == 2 and out == ""
+    assert "--set and --ordering must be given together" in err
 
 
 def test_solve_budget_exhausted_exit(capsys):
@@ -315,6 +342,40 @@ def test_unknown_subcommand_usage_error(capsys):
         main(["frobnicate"])
     assert info.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+def _usage_error(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_edges_and_family_are_exclusive(tmp_path, capsys):
+    edges = tmp_path / "g.txt"
+    edges.write_text("0 1\n", encoding="utf-8")
+    argv = ["--edges", str(edges), "--family", "grid", "3", "3", "--p", "1", "--q", "1"]
+    err = _usage_error(capsys, "solve", *argv)
+    assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["grid", "--p", "2", "--q", "two", "--m", "3", "--n", "3"], "integer or 'inf'"),
+        (
+            ["closure", "--family", "path", "3", "--p", "1", "--q", "1", "--set", "0,x"],
+            "integer ids",
+        ),
+        (["perimeter", "--m", "3", "--n", "3", "--cells", "1,1;1,2,3"], "'col,row'"),
+        (["perimeter", "--m", "3", "--n", "3", "--cells", "1,a"], "must be integers"),
+    ],
+    ids=["q", "ids", "cell-arity", "cell-integer"],
+)
+def test_malformed_option_values_are_usage_errors(capsys, argv, message):
+    assert message in _usage_error(capsys, *argv)
 
 
 def test_seed_flag_is_gone(capsys):

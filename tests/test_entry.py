@@ -71,6 +71,17 @@ def test_package_import_loads_no_submodule():
     assert loaded == []
 
 
+def test_cli_import_and_usage_error_load_no_submodule():
+    loaded = _probe(
+        "import json, sys, spreadnum.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('spreadnum.'))))"
+    )
+    assert loaded == ["spreadnum.cli"]
+    code, out, err, loaded = _spread("solve", "--p", "1")
+    assert code == 2 and out == "" and "usage" in err
+    assert loaded == set()
+
+
 def test_one_name_loads_only_its_submodule():
     loaded = _probe(
         "import json, sys, spreadnum\n"

@@ -92,6 +92,10 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        Graph.from_edges(-1, [])
+    with pytest.raises(ValueError, match="unknown vertex 2"):
+        Graph.from_edges(2, [(0, 1)], {2: "x"})
 
 
 def test_star_shape():

@@ -53,23 +53,22 @@ def _spider(legs: int, leg_len: int) -> Graph:
 
 
 def test_rooted_tree_layering():
-    order, parent, depth = _rooted(star(5))
+    order, parent = _rooted(star(5))
     assert order[0] == 0  # lowest-id non-leaf
-    assert depth == [0, 1, 1, 1, 1]
     assert parent == [-1, 0, 0, 0, 0]
 
     rng = random.Random(41)
     for _ in range(10):
         t = random_tree(rng.randrange(2, 14), rng)
-        order, parent, depth = _rooted(t)
+        order, parent = _rooted(t)
         root = order[0]
         assert root == min((v for v in range(t.n) if t.degree(v) >= 2), default=0)
-        assert parent[root] == -1 and depth[root] == 0
+        assert parent[root] == -1
         assert sorted(order) == list(range(t.n))
+        position = {v: i for i, v in enumerate(order)}
         for v in order[1:]:
             assert parent[v] in t.adj[v]
-            assert depth[v] == depth[parent[v]] + 1
-        assert all(depth[u] <= depth[v] for u, v in zip(order, order[1:]))
+            assert position[parent[v]] < position[v]
 
 
 def test_rooted_tree_rejects_bad_input():
@@ -495,6 +494,15 @@ def test_certificate_rejects_bad_ordering():
         check_property_pnp(path(5), 2, frozenset({0, 2, 4}), (1, 1, 3))
     with pytest.raises(ValueError):
         check_property_pnp(path(5), 2, frozenset({0, 2, 4}), (1,))
+    with pytest.raises(ValueError, match="unknown vertices"):
+        check_property_pnp(path(5), 2, frozenset({0, 2, 7}), (1, 3, 4))
+
+
+def test_certificate_requires_p_at_least_2():
+    with pytest.raises(ValueError, match="p >= 2"):
+        check_property_pnp(path(3), 1, frozenset({0}), (1, 2))
+    with pytest.raises(ValueError, match="p >= 2"):
+        search_property_pnp(path(3), 1)
 
 
 def test_star_has_no_certificate_exhaustively():
