@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
-from .graphs import Graph
+from .graphs import Graph, _require_int
 
 #: Distinguished "no white-degree constraint" value for q.
 INFINITY = math.inf
@@ -38,8 +38,7 @@ class SpreadParams:
     q: int | float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or self.p < 1:
-            raise ValueError(f"p must be a positive integer, got {self.p!r}")
+        _require_int("SpreadParams", "p", self.p, 1)
         if self.q != INFINITY and not (isinstance(self.q, int) and self.q >= 1):
             raise ValueError(f"q must be a positive integer or INFINITY, got {self.q!r}")
 
@@ -213,6 +212,13 @@ def closure(
     S, blue = _closed(G, params, seeds, steps)
     final = frozenset(compress(range(G.n), blue))
     return final, SpreadTrace(initial=S, steps=tuple(steps), final=final)
+
+
+def _exact(G: Graph, params: SpreadParams, seeds: frozenset[int]) -> SigmaResult:
+    """The one maker of ``exact`` results: minimum ``seeds``, re-validated."""
+    final, trace = closure(G, params, seeds)
+    assert final == frozenset(range(G.n)), "witness failed re-validation"
+    return SigmaResult(value=len(seeds), status="exact", witness=seeds, trace=trace)
 
 
 def closure_set(G: Graph, params: SpreadParams, seeds: Iterable[int]) -> frozenset[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .engine import SigmaResult, SpreadParams, is_spreading_set
-from .graphs import FamilySpec, build_family
+from .graphs import FamilySpec, _require_int, build_family
 
 
 class OpenProblemError(Exception):
@@ -32,16 +32,8 @@ def _not_covered(note: str) -> SigmaResult:
 
 
 def _check_board(m: int, n: int) -> None:
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
-        raise ValueError("grid dimensions must be positive integers")
-
-
-def _sigma_path(n: int, p: int, q: int | float) -> SigmaResult:
-    if p == 1:
-        return _formula(1)
-    if p == 2:
-        return _formula(_ceil_div(n + 1, 2))
-    return _formula(n)  # p exceeds the maximum degree
+    for side in (m, n):
+        _require_int("grid", "dimensions", side, 1)
 
 
 def _sigma_cycle(n: int, p: int, q: int | float) -> SigmaResult:
@@ -72,16 +64,19 @@ def _sigma_complete_bipartite(r: int, s: int, p: int, q: int | float) -> SigmaRe
 
 
 def _sigma_star(n: int, p: int, q: int | float) -> SigmaResult:
+    """At ``p = 1``, ``max(1, n - 1 - q)``: each leaf forces the center; the
+    center then needs at most ``q`` white leaves; seeding the center costs
+    one more than seeding a leaf."""
     if p >= n:
         return _formula(n)
     if 2 <= p:
         return _formula(n - 1)
-    return _not_covered("star with p = 1 has no single closed form here")
+    return _formula(max(1, n - 1 - q))
 
 
 #: family name -> closed form, called with the family's size parameters, p, q
 _CLOSED_FORMS = {
-    "path": _sigma_path,
+    "path": lambda n, p, q: grid_sigma(p, q, 1, n),  # the 1 x n grid
     "cycle": _sigma_cycle,
     "complete": _sigma_complete,
     "complete_bipartite": _sigma_complete_bipartite,
@@ -93,9 +88,9 @@ _CLOSED_FORMS = {
 def sigma_closed_form(spec: FamilySpec, params: SpreadParams) -> SigmaResult:
     """Closed-form value for a named family, or ``not_covered``.
 
-    Covered: paths, cycles, complete graphs, stars, complete bipartite
-    graphs in the regime where p separates the two sides, and grids (which
-    delegate to :func:`grid_sigma`).
+    Covered: cycles, complete graphs, stars, complete bipartite graphs in
+    the regime where p separates the two sides, and grids and paths (which
+    delegate to :func:`grid_sigma`, a path as the 1 x n grid).
     """
     return _CLOSED_FORMS[spec.family](*spec.args, params.p, params.q)
 
@@ -106,9 +101,9 @@ def grid_sigma(p: int, q: int | float, m: int, n: int) -> SigmaResult:
     With ``N`` the smaller and ``M`` the larger dimension: ``p`` above the
     maximum degree ``min(M-1, 2) + min(N-1, 2)`` forces every cell;
     ``p=1`` gives ``N`` for ``q=1`` and 1 otherwise; ``p=2`` has no proven
-    formula on 2-row grids (``M >= 3``) with ``q <= 2``, and otherwise
-    gives ``ceil((N+M+1)/2)`` at ``q=1`` with ``N >= 3``, 3 at ``q=1`` on
-    the 2 x 2 square, and ``ceil((N+M)/2)``; ``p=3`` is an open problem;
+    formula on 2-row grids (``M >= 3``) with ``q=1``, and otherwise gives
+    ``ceil((N+M+1)/2)`` at ``q=1`` with ``N >= 3``, 3 at ``q=1`` on the
+    2 x 2 square, and ``ceil((N+M)/2)``; ``p=3`` is an open problem;
     ``p=4`` gives ``2M + 2N - 4 + floor((M-2)(N-2)/2)``.
     """
     return _grid_case(p, q, m, n)[0]
@@ -128,7 +123,7 @@ def _grid_case(p: int, q: int | float, m: int, n: int):
             return _formula(N), lambda: {(1, r) for r in range(1, N + 1)}
         return _formula(1), lambda: {(1, 1)}
     if p == 2:
-        if N == 2 < M and q <= 2:
+        if N == 2 < M and q == 1:
             note = "2-row grids with small white budget have no proven formula"
             return _not_covered(note), None
         if q == 1 and N >= 3:
@@ -136,7 +131,10 @@ def _grid_case(p: int, q: int | float, m: int, n: int):
         if q == 1 and M == 2:  # the 4-cycle: any three vertices
             return _formula(3), lambda: {(1, 1), (1, 2), (2, 1)}
         # On a single row the every-other-cell pattern already meets the
-        # strict white budget, so the diagonal seed covers q = 1 too.
+        # strict white budget, so the diagonal seed covers q = 1 too.  Under
+        # (2, inf) the blue perimeter never grows (Bollobas) and must reach
+        # 2(N+M) from at most 4 per seed; a finite q only colors less.  On
+        # 2 x M only the diagonal seed's first forcer has 2 white neighbors.
         return _formula(_ceil_div(N + M, 2)), lambda: _diagonal_seed(M, N)
     if p == 3:
         return SigmaResult(value=None, status="open"), None
@@ -242,8 +240,7 @@ def blue_perimeter(m: int, n: int, cells) -> int:
     """
     _check_board(m, n)
     S = set()
-    for cell in cells:
-        c, r = cell
+    for c, r in cells:
         if not (1 <= c <= m and 1 <= r <= n):
             raise ValueError(f"cell ({c}, {r}) outside {m} x {n} board")
         S.add((c, r))

@@ -16,21 +16,19 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 
 from .engine import SpreadParams, is_spreading_set
-from .graphs import Graph, _check_size
+from .graphs import Graph, _check_size, _require_int
 from .solver import _as_budget, _minimum_sets, sigma_exact
 
 
 def _check_qforcing(G: Graph, q: int) -> None:
-    if not isinstance(q, int) or q < 2:
-        raise ValueError(f"gadget requires integer q >= 2, got {q!r}")
+    _require_int("gadget", "q", q, 2)
     # Each vertex gains q - 1 edges to its a's and the a-b and b-c cliques,
     # which share the b-b edges: q (7q - 5) / 2 edges in all.
     _check_size(3 * q * G.n, G.edge_count + G.n * q * (7 * q - 5) // 2)
 
 
 def _check_spreading(G: Graph, p: int) -> None:
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"gadget requires integer p >= 2, got {p!r}")
+    _require_int("gadget", "p", p, 2)
     _check_size(G.n + (p - 1) + p * (p - 1), G.edge_count + (p - 1) * (G.n + p))
 
 

@@ -32,6 +32,12 @@ def _check_size(vertices: int, edges: int) -> None:
         )
 
 
+def _require_int(what: str, name: str, value: int, minimum: int) -> None:
+    """The package's one integer-parameter check, shared by every module."""
+    if not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{what} requires integer {name} >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable undirected simple graph.
@@ -52,8 +58,7 @@ class Graph:
         labels: dict[int, str] | None = None,
     ) -> "Graph":
         """Build a graph on vertices ``0..n-1``; duplicate edges collapse."""
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        _require_int("graph", "vertex count", n, 0)
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -191,32 +196,32 @@ def serialize_edge_list(G: Graph) -> str:
 
 def path(n: int) -> Graph:
     """Path on ``n`` vertices: ``i`` joined to ``i + 1``."""
-    _require_size("path", n, 1)
+    _require_int("path", "size", n, 1)
     return Graph.from_edges(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def cycle(n: int) -> Graph:
     """Cycle on ``n >= 3`` vertices: ``i`` joined to ``(i + 1) mod n``."""
-    _require_size("cycle", n, 3)
+    _require_int("cycle", "size", n, 3)
     return Graph.from_edges(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def complete(n: int) -> Graph:
     """Complete graph on ``n`` vertices."""
-    _require_size("complete", n, 1)
+    _require_int("complete", "size", n, 1)
     return Graph.from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite(r: int, s: int) -> Graph:
     """Complete bipartite graph: sides ``0..r-1`` and ``r..r+s-1``."""
-    _require_size("complete_bipartite", r, 1)
-    _require_size("complete_bipartite", s, 1)
+    _require_int("complete_bipartite", "size", r, 1)
+    _require_int("complete_bipartite", "size", s, 1)
     return Graph.from_edges(r + s, ((i, r + j) for i in range(r) for j in range(s)))
 
 
 def star(n: int) -> Graph:
     """Star on ``n`` vertices: center 0 joined to leaves ``1..n-1``."""
-    _require_size("star", n, 1)
+    _require_int("star", "size", n, 1)
     return Graph.from_edges(n, ((0, v) for v in range(1, n)))
 
 
@@ -225,8 +230,8 @@ def grid(m: int, n: int) -> Graph:
     id ``(c - 1) * n + (r - 1)``.  This is the Cartesian product of the paths
     P_m and P_n, built directly: ``v``'s neighbors are ``(v - n, v - 1,
     v + 1, v + n)``, already sorted, clipped at the border."""
-    _require_size("grid", m, 1)
-    _require_size("grid", n, 1)
+    _require_int("grid", "size", m, 1)
+    _require_int("grid", "size", n, 1)
     cells = m * n
     adj = []
     for v in range(cells):
@@ -240,11 +245,6 @@ def grid(m: int, n: int) -> Graph:
             nbrs.append(v + n)
         adj.append(tuple(nbrs))
     return Graph(cells, tuple(adj))
-
-
-def _require_size(family: str, value: int, minimum: int) -> None:
-    if not isinstance(value, int) or value < minimum:
-        raise ValueError(f"{family} requires integer size >= {minimum}, got {value}")
 
 
 #: name -> (builder, parameter count, parameters -> (vertices, edges))
@@ -280,7 +280,7 @@ class FamilySpec:
             )
         minimum = 3 if self.family == "cycle" else 1
         for a in self.args:
-            _require_size(self.family, a, minimum)
+            _require_int(self.family, "size", a, minimum)
 
 
 def build_family(spec: FamilySpec) -> Graph:

@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .engine import SigmaResult, SpreadParams, _spread, closure
+from .engine import SigmaResult, SpreadParams, _exact, _spread
 from .graphs import Graph
 
 
@@ -234,11 +234,7 @@ def sigma_exact(
         else:
             raise AssertionError("the full vertex set always spreads")
         witness.update(part[v] for v in found)
-    final, trace = closure(G, params, witness)
-    assert final == frozenset(range(G.n)), "witness failed re-validation"
-    return SigmaResult(
-        value=len(witness), status="exact", witness=frozenset(witness), trace=trace
-    )
+    return _exact(G, params, frozenset(witness))
 
 
 def enumerate_minimum_sets(

@@ -22,9 +22,9 @@ from .engine import (
     INFINITY,
     SigmaResult,
     SpreadParams,
-    closure,
+    _exact,
 )
-from .graphs import Graph, _bfs
+from .graphs import Graph, _bfs, _require_int
 
 
 def _require_tree(T: Graph) -> None:
@@ -95,8 +95,7 @@ def subtree_partition(T: Graph, q: int) -> Partition:
     children-first order finds the same parts.
     """
     _require_tree(T)
-    if not isinstance(q, int) or q < 1:
-        raise ValueError(f"q must be a positive integer, got {q!r}")
+    _require_int("partition", "q", q, 1)
     order, parent = _rooted(T)
     root = order[0]
     # Bottom up: part[v] is the index of the part that v heads, or -1.  A
@@ -174,17 +173,13 @@ def sigma_tree(T: Graph, params: SpreadParams) -> SigmaResult:
     else:
         parts = subtree_partition(T, params.q)
         seeds = frozenset(_part_seed(T, part) for part in parts)
-    final, trace = closure(T, params, seeds)
-    assert final == frozenset(range(T.n)), "tree seeds failed to spread"
-    return SigmaResult(value=len(seeds), status="exact", witness=seeds, trace=trace)
+    return _exact(T, params, seeds)
 
 
 def tree_lower_bound(n: int, p: int) -> int:
     """``ceil(((p-1)n + 1) / p)``: no tree on n vertices does better (p >= 2)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"bound requires p >= 2, got {p!r}")
+    _require_int("bound", "n", n, 1)
+    _require_int("bound", "p", p, 2)
     return ((p - 1) * n + p) // p
 
 
@@ -207,8 +202,7 @@ def tree_upper_bound(T: Graph, p: int, q: int | float) -> UpperBoundReport:
     below ``p``.
     """
     _require_tree(T)
-    if not isinstance(p, int) or p < 2:
-        raise ValueError("extremal bound stated for integer p >= 2")
+    _require_int("extremal bound", "p", p, 2)
     SpreadParams(p, q)  # reject malformed q the same way the engine would
     n = T.n
     if n < 5:
@@ -293,8 +287,7 @@ def check_property_pnp(
     linear time, up to sorting each step's pulled seeds.
     """
     _require_tree(T)
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"certificate requires integer p >= 2, got {p!r}")
+    _require_int("certificate", "p", p, 2)
     S = frozenset(S)
     if not S <= set(range(T.n)):
         raise ValueError("seed set contains unknown vertices")
@@ -379,8 +372,7 @@ def search_property_pnp(T: Graph, p: int) -> PnpReport | None:
     certificate whenever the bound is met (linear time).
     """
     _require_tree(T)
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"certificate requires integer p >= 2, got {p!r}")
+    _require_int("certificate", "p", p, 2)
     res = sigma_tree(T, SpreadParams(p, INFINITY))
     if res.value != tree_lower_bound(T.n, p):
         return None
@@ -396,10 +388,8 @@ def tight_tree(n: int, p: int) -> Graph:
     independent sets; consecutive forced vertices share one seed neighbor,
     each grabbing ``p`` seeds, with the last taking all leftovers.
     """
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"construction requires p >= 2, got {p!r}")
-    if not isinstance(n, int) or n < p + 1:
-        raise ValueError(f"construction requires n >= p + 1, got {n!r}")
+    _require_int("construction", "p", p, 2)
+    _require_int("construction", "n", n, p + 1)
     f = tree_lower_bound(n, p)
     t = n - f
     edges = []

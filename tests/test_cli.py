@@ -98,7 +98,7 @@ def test_formula_subcommand(capsys):
     code, doc = run_json(
         capsys, "formula", "--family", "star", "6", "--p", "1", "--q", "2"
     )
-    assert code == 0 and doc["status"] == "not_covered"
+    assert code == 0 and doc == {"status": "formula", "value": 3}
 
 
 def test_q_inf_spelling(capsys):

@@ -42,7 +42,7 @@ def test_family_examples():
 
 
 def test_not_covered_cases():
-    assert sigma_closed_form(FamilySpec("star", (6,)), P(1, 2)).status == "not_covered"
+    assert sigma_closed_form(FamilySpec("star", (6,)), P(1, 2)).value == 3  # max(1, n-1-q)
     assert (
         sigma_closed_form(FamilySpec("complete_bipartite", (3, 3)), P(2, 1)).status
         == "not_covered"
@@ -109,7 +109,7 @@ def test_star_formula_against_solver():
     from spreadnum import star
 
     for n in range(2, 8):
-        for p in range(2, n + 2):
+        for p in range(1, n + 2):
             for q in ALL_Q:
                 res = sigma_closed_form(FamilySpec("star", (n,)), P(p, q))
                 assert res.status == "formula"
@@ -135,7 +135,7 @@ def test_grid_open_and_degenerate_cases():
     assert grid_sigma(3, 1, 9, 1).value == 9  # single row is a path
     assert grid_sigma(3, 3, 2, 2).value == 4  # the square is a 4-cycle
     assert grid_sigma(2, 1, 7, 2).status == "not_covered"
-    assert grid_sigma(2, 2, 7, 2).status == "not_covered"
+    assert grid_sigma(2, 2, 7, 2).value == 5
     assert grid_sigma(4, 1, 7, 2).value == 14  # max degree 3 < 4
 
 
@@ -157,6 +157,12 @@ def test_grid_against_solver_small():
                 if res.status != "formula":
                     continue
                 assert res.value == sigma_exact(g, P(p, q)).value, (m, n, p, q)
+    # 2-row boards at (2, 2): the diagonal branch, proven for every length.
+    for m in range(3, 11):
+        res = grid_sigma(2, 2, m, 2)
+        assert res.status == "formula" and res.value == (m + 3) // 2
+        assert res.value == sigma_exact(grid(m, 2), P(2, 2)).value, m
+        assert len(grid_witness(2, 2, 2, m)) == res.value
 
 
 def test_grid_witness_examples():

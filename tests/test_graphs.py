@@ -2,24 +2,39 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreadnum import (
+    Budget,
     FamilySpec,
     Graph,
     GraphFormatError,
+    SpreadParams,
     build_family,
+    build_qforcing_gadget,
+    build_spreading_gadget,
+    certify_qforcing_gadget,
+    certify_spreading_gadget,
+    check_property_pnp,
     complete,
     complete_bipartite,
     cycle,
     family_from_tokens,
     grid,
+    grid_sigma,
     parse_edge_list,
     path,
+    search_property_pnp,
     serialize_edge_list,
     star,
+    subtree_partition,
+    tight_tree,
+    tree_lower_bound,
+    tree_upper_bound,
 )
 
 from spreadnum import graphs
@@ -92,10 +107,49 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="vertex count >= 0"):
         Graph.from_edges(-1, [])
     with pytest.raises(ValueError, match="unknown vertex 2"):
         Graph.from_edges(2, [(0, 1)], {2: "x"})
+
+
+# One case per call site of ``graphs._require_int``: the call with the bad
+# value in place (and a budget for the certifiers), the parameter's name, and
+# its minimum.
+_INT_SITES = [
+    pytest.param(lambda x, b: Graph.from_edges(x, []), "vertex count", 0, id="from_edges"),
+    pytest.param(lambda x, b: path(x), "size", 1, id="path"),
+    pytest.param(lambda x, b: cycle(x), "size", 3, id="cycle"),
+    pytest.param(lambda x, b: complete(x), "size", 1, id="complete"),
+    pytest.param(lambda x, b: complete_bipartite(x, 2), "size", 1, id="bipartite-r"),
+    pytest.param(lambda x, b: complete_bipartite(2, x), "size", 1, id="bipartite-s"),
+    pytest.param(lambda x, b: star(x), "size", 1, id="star"),
+    pytest.param(lambda x, b: grid(x, 2), "size", 1, id="grid-m"),
+    pytest.param(lambda x, b: grid(2, x), "size", 1, id="grid-n"),
+    pytest.param(lambda x, b: FamilySpec("cycle", (x,)), "size", 3, id="FamilySpec"),
+    pytest.param(lambda x, b: SpreadParams(x, 1), "p", 1, id="SpreadParams"),
+    pytest.param(lambda x, b: grid_sigma(2, 1, 3, x), "dimensions", 1, id="board"),
+    pytest.param(lambda x, b: subtree_partition(path(4), x), "q", 1, id="subtree_partition"),
+    pytest.param(lambda x, b: tree_lower_bound(x, 2), "n", 1, id="tree_lower_bound-n"),
+    pytest.param(lambda x, b: tree_lower_bound(5, x), "p", 2, id="tree_lower_bound-p"),
+    pytest.param(lambda x, b: tree_upper_bound(path(6), x, 1), "p", 2, id="tree_upper_bound"),
+    pytest.param(lambda x, b: check_property_pnp(path(4), x, [], []), "p", 2, id="check_pnp"),
+    pytest.param(lambda x, b: search_property_pnp(path(4), x), "p", 2, id="search_pnp"),
+    pytest.param(lambda x, b: tight_tree(5, x), "p", 2, id="tight_tree-p"),
+    pytest.param(lambda x, b: tight_tree(x, 2), "n", 3, id="tight_tree-n"),
+    pytest.param(lambda x, b: certify_qforcing_gadget(path(3), x, b), "q", 2, id="qforcing"),
+    pytest.param(lambda x, b: certify_spreading_gadget(path(3), x, 2, b), "p", 2, id="spreading"),
+]
+
+
+@pytest.mark.parametrize("call, name, minimum", _INT_SITES)
+@pytest.mark.parametrize("kind", ["small", "float", "none"])
+def test_integer_parameters_share_one_check(call, name, minimum, kind):
+    bad = {"small": min(0, minimum - 1), "float": 2.5, "none": None}[kind]
+    budget = Budget(10)
+    with pytest.raises(ValueError, match=re.escape(f"integer {name} >= {minimum}, got {bad}")):
+        call(bad, budget)
+    assert budget.used == 0  # rejected before any search
 
 
 def test_star_shape():
