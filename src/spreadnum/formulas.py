@@ -1,10 +1,10 @@
 """Closed-form spreading numbers, grid witness constructions, perimeter.
 
-Every value returned with status ``formula`` has a proof behind it; anything
-outside the proven table comes back ``not_covered``, and the genuinely
-unresolved grid cases (``p = 3`` with small white budgets) come back
-``open``.  Witness generators reproduce the explicit constructions used in
-the proofs and re-validate themselves through the engine before returning.
+Every value returned with status ``formula`` has a proof behind it; grids
+at ``p = 3`` with both sides at least 3 come back ``open``, and complete
+bipartite graphs at ``2 <= p <= min(r, s)`` come back ``not_covered``.
+Witness generators reproduce the explicit constructions used in the proofs
+and re-validate themselves through the engine before returning.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _formula(value: int) -> SigmaResult:
     return SigmaResult(value=value, status="formula")
-
-
-def _not_covered(note: str) -> SigmaResult:
-    return SigmaResult(value=None, status="not_covered", note=note)
 
 
 def _check_board(m: int, n: int) -> None:
@@ -60,18 +56,13 @@ def _sigma_complete_bipartite(r: int, s: int, p: int, q: int | float) -> SigmaRe
         if q >= small:
             return _formula(big)
         return _formula(big + small - q)
-    return _not_covered(f"no closed form for complete bipartite with p <= {small}")
-
-
-def _sigma_star(n: int, p: int, q: int | float) -> SigmaResult:
-    """At ``p = 1``, ``max(1, n - 1 - q)``: each leaf forces the center; the
-    center then needs at most ``q`` white leaves; seeding the center costs
-    one more than seeding a leaf."""
-    if p >= n:
-        return _formula(n)
-    if 2 <= p:
-        return _formula(n - 1)
-    return _formula(max(1, n - 1 - q))
+    if p == 1:
+        # Each side shares one neighbourhood, so the first force into a side
+        # sees its white vertices, at most q, and colors them all: each side
+        # keeps max(0, size - q) seeds, and such seeds spread.
+        return _formula(max(1, max(0, r - q) + max(0, s - q)))
+    note = f"no closed form for complete bipartite with 2 <= p <= {small}"
+    return SigmaResult(value=None, status="not_covered", note=note)
 
 
 #: family name -> closed form, called with the family's size parameters, p, q
@@ -80,7 +71,7 @@ _CLOSED_FORMS = {
     "cycle": _sigma_cycle,
     "complete": _sigma_complete,
     "complete_bipartite": _sigma_complete_bipartite,
-    "star": _sigma_star,
+    "star": lambda n, p, q: _sigma_complete_bipartite(1, n - 1, p, q),
     "grid": lambda m, n, p, q: grid_sigma(p, q, m, n),
 }
 
@@ -88,9 +79,9 @@ _CLOSED_FORMS = {
 def sigma_closed_form(spec: FamilySpec, params: SpreadParams) -> SigmaResult:
     """Closed-form value for a named family, or ``not_covered``.
 
-    Covered: cycles, complete graphs, stars, complete bipartite graphs in
-    the regime where p separates the two sides, and grids and paths (which
-    delegate to :func:`grid_sigma`, a path as the 1 x n grid).
+    Covered: cycles, complete graphs, complete bipartite graphs except at
+    ``2 <= p <= min(r, s)``, stars (read as ``K_{1,n-1}``), and grids and
+    paths (which delegate to :func:`grid_sigma`, a path as the 1 x n grid).
     """
     return _CLOSED_FORMS[spec.family](*spec.args, params.p, params.q)
 
@@ -100,11 +91,11 @@ def grid_sigma(p: int, q: int | float, m: int, n: int) -> SigmaResult:
 
     With ``N`` the smaller and ``M`` the larger dimension: ``p`` above the
     maximum degree ``min(M-1, 2) + min(N-1, 2)`` forces every cell;
-    ``p=1`` gives ``N`` for ``q=1`` and 1 otherwise; ``p=2`` has no proven
-    formula on 2-row grids (``M >= 3``) with ``q=1``, and otherwise gives
-    ``ceil((N+M+1)/2)`` at ``q=1`` with ``N >= 3``, 3 at ``q=1`` on the
-    2 x 2 square, and ``ceil((N+M)/2)``; ``p=3`` is an open problem;
-    ``p=4`` gives ``2M + 2N - 4 + floor((M-2)(N-2)/2)``.
+    ``p=1`` gives ``N`` for ``q=1`` and 1 otherwise; ``p=2`` gives
+    ``ceil((N+M+1)/2)`` at ``q=1`` with ``N >= 2`` and ``ceil((N+M)/2)``
+    otherwise; ``p=3`` gives ``M + 2`` on 2-row grids and is an open
+    problem once ``N >= 3``; ``p=4`` gives
+    ``2M + 2N - 4 + floor((M-2)(N-2)/2)``.
     """
     return _grid_case(p, q, m, n)[0]
 
@@ -112,7 +103,7 @@ def grid_sigma(p: int, q: int | float, m: int, n: int) -> SigmaResult:
 def _grid_case(p: int, q: int | float, m: int, n: int):
     """The grid's regime, decided once: its :class:`SigmaResult` and a
     zero-argument builder of witness cells, 1-based ``(col, row)`` on the
-    ``M x N`` board with ``M >= N``, or ``None`` when there is no formula."""
+    ``M x N`` board with ``M >= N``, or ``None`` when the case is open."""
     SpreadParams(p, q)  # reject malformed p and q before the board
     _check_board(m, n)
     M, N = max(m, n), min(m, n)
@@ -123,20 +114,24 @@ def _grid_case(p: int, q: int | float, m: int, n: int):
             return _formula(N), lambda: {(1, r) for r in range(1, N + 1)}
         return _formula(1), lambda: {(1, 1)}
     if p == 2:
-        if N == 2 < M and q == 1:
-            note = "2-row grids with small white budget have no proven formula"
-            return _not_covered(note), None
-        if q == 1 and N >= 3:
+        # Under (2, inf) the blue perimeter never grows (Bollobas) and ends at
+        # 2(N+M), from at most 4 per seed, or 4|S| - 2 once two seeds touch;
+        # a finite q only colors less.
+        if q == 1 and N >= 2:
+            # The first forcer's other neighbours are seeds, so two seeds touch.
+            # On 2 x M it fills column by column; each forcer has one white neighbour.
             return _formula(_ceil_div(N + M + 1, 2)), lambda: _first_row_col_seed(M, N)
-        if q == 1 and M == 2:  # the 4-cycle: any three vertices
-            return _formula(3), lambda: {(1, 1), (1, 2), (2, 1)}
         # On a single row the every-other-cell pattern already meets the
-        # strict white budget, so the diagonal seed covers q = 1 too.  Under
-        # (2, inf) the blue perimeter never grows (Bollobas) and must reach
-        # 2(N+M) from at most 4 per seed; a finite q only colors less.  On
+        # strict white budget, so the diagonal seed covers q = 1 too.  On
         # 2 x M only the diagonal seed's first forcer has 2 white neighbors.
         return _formula(_ceil_div(N + M, 2)), lambda: _diagonal_seed(M, N)
     if p == 3:
+        if N == 2:
+            # Degree <= 3: a cell turns blue only after all its neighbours, so
+            # every column and all four corners hold seeds.  This seed fills
+            # from the left, each forcer with one white neighbour: any q works.
+            ends = {(1, 1), (1, 2), (M, 1), (M, 2)}
+            return _formula(M + 2), lambda: ends | {(c, 1 + c % 2) for c in range(2, M)}
         return SigmaResult(value=None, status="open"), None
     # p == 4 on grids with both sides >= 3: all boundary vertices are forced
     # and the interior needs a vertex cover.
@@ -214,14 +209,12 @@ def grid_witness(p: int, q: int | float, m: int, n: int) -> frozenset[tuple[int,
 
     Returns 1-based ``(col, row)`` cells; the set is re-validated through
     the engine and matches :func:`grid_sigma` in size.  Open cases raise
-    :class:`OpenProblemError`; cases without a proven formula, and grids
-    over :data:`~spreadnum.graphs.MAX_GRAPH_SIZE`, raise ``ValueError``.
+    :class:`OpenProblemError`; grids over
+    :data:`~spreadnum.graphs.MAX_GRAPH_SIZE` raise ``ValueError``.
     """
     sig, witness = _grid_case(p, q, m, n)
     if sig.status == "open":
         raise OpenProblemError(f"no witness known for p={p} on the {m}x{n} grid")
-    if witness is None:
-        raise ValueError(sig.note)
     G = build_family(FamilySpec("grid", (m, n)))
     cells = witness()
     if n > m:

@@ -138,10 +138,10 @@ def parse_edge_list(text: str) -> Graph:
     """Parse an edge-list document.
 
     Lines are ``u v`` integer pairs (0-based ids); an optional ``n COUNT``
-    line fixes the vertex count so isolated vertices survive.  Self-loops and
-    non-integer tokens are rejected with their line number.  A document with
-    more than :data:`MAX_GRAPH_SIZE` vertices or edges raises ``ValueError``
-    before the graph is built.
+    line anywhere bounds the ids and fixes the vertex count, so isolated
+    vertices survive.  Self-loops and non-integer tokens are rejected with
+    their line number.  A document with more than :data:`MAX_GRAPH_SIZE`
+    vertices or edges raises ``ValueError`` before the graph is built.
     """
     header: int | None = None
     edges: list[tuple[int, int]] = []
@@ -178,7 +178,9 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
         edges.append((u, v))
         max_id = max(max_id, u, v)
-    n = max(max_id + 1, header if header is not None else 0)
+    if header is not None and max_id >= header:
+        raise GraphFormatError(f"vertex id {max_id} outside header count {header}")
+    n = max_id + 1 if header is None else header
     _check_size(n, len(edges))
     return Graph.from_edges(n, edges)
 

@@ -90,7 +90,7 @@ def test_criterion_1_closed_form_agreement():
         for p in range(1, 6):
             if spec.family == "complete_bipartite":
                 r, s = spec.args
-                if not (min(r, s) < p):  # stated regime: p separates the sides
+                if not (p == 1 or min(r, s) < p):  # p = 1, or p separates the sides
                     continue
             for q in ALL_Q:
                 res = sigma_closed_form(spec, P(p, q))

@@ -53,8 +53,10 @@ def test_witness_open_exit_code(capsys):
 
 
 def test_witness_uncovered_is_invalid_input(capsys):
-    code, out, err = run_cli(capsys, "witness", "--p", "2", "--q", "1", "--m", "9", "--n", "2")
-    assert code == 2 and out == "" and "formula" in err
+    code, doc = run_json(capsys, "witness", "--p", "2", "--q", "1", "--m", "9", "--n", "2")
+    assert code == 0 and len(doc["cells"]) == 6  # 2-row boards are covered at (2, 1)
+    code, out, err = run_cli(capsys, "witness", "--p", "2", "--q", "1", "--m", "2000", "--n", "2000")
+    assert code == 2 and out == "" and "too large" in err
     # An impossible board is rejected by perimeter as it is by grid.
     code, out, err = run_cli(capsys, "perimeter", "--m", "0", "--n", "-3", "--cells", ";")
     assert code == 2 and out == "" and "dimensions" in err
@@ -281,6 +283,9 @@ def test_invalid_edges_file(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "self-loop" in err
+    f.write_text("n 2\n0 5\n")
+    code, out, err = run_cli(capsys, "solve", "--edges", str(f), "--p", "1", "--q", "1")
+    assert code == 2 and out == "" and "header" in err
 
 
 _NOISE = st.one_of(

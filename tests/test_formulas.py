@@ -89,7 +89,7 @@ def test_bipartite_covered_regime_against_solver():
             if r + s > 8:
                 continue
             g = complete_bipartite(r, s)
-            for p in range(s + 1, r + 1):
+            for p in (1, *range(s + 1, r + 1)):
                 for q in ALL_Q:
                     res = sigma_closed_form(FamilySpec("complete_bipartite", (r, s)), P(p, q))
                     assert res.status == "formula"
@@ -134,7 +134,7 @@ def test_grid_open_and_degenerate_cases():
     assert grid_sigma(3, 1, 8, 3).status == "open"
     assert grid_sigma(3, 1, 9, 1).value == 9  # single row is a path
     assert grid_sigma(3, 3, 2, 2).value == 4  # the square is a 4-cycle
-    assert grid_sigma(2, 1, 7, 2).status == "not_covered"
+    assert grid_sigma(2, 1, 7, 2).value == 5
     assert grid_sigma(2, 2, 7, 2).value == 5
     assert grid_sigma(4, 1, 7, 2).value == 14  # max degree 3 < 4
 
@@ -163,6 +163,14 @@ def test_grid_against_solver_small():
         assert res.status == "formula" and res.value == (m + 3) // 2
         assert res.value == sigma_exact(grid(m, 2), P(2, 2)).value, m
         assert len(grid_witness(2, 2, 2, m)) == res.value
+    # 2-row boards at (2, 1), the 2 x 2 square included, and at p = 3.
+    cases = [(m, 2, 1, (m + 4) // 2) for m in range(2, 13)]
+    cases += [(m, 3, q, m + 2) for m in range(3, 11) for q in (1, 2, 3, 4, INFINITY)]
+    for m, p, q, value in cases:
+        res = grid_sigma(p, q, m, 2)
+        assert res.status == "formula" and res.value == value, (m, p, q)
+        assert res.value == sigma_exact(grid(m, 2), P(p, q)).value, (m, p, q)
+        assert len(grid_witness(p, q, 2, m)) == res.value
 
 
 def test_grid_witness_examples():
@@ -181,8 +189,9 @@ def test_grid_witness_examples():
 def test_grid_witness_open_and_uncovered():
     with pytest.raises(OpenProblemError):
         grid_witness(3, 3, 5, 5)
+    assert len(grid_witness(2, 1, 9, 2)) == 6
     with pytest.raises(ValueError):
-        grid_witness(2, 1, 9, 2)
+        grid_witness(2, 1, 2000, 2000)  # over MAX_GRAPH_SIZE
 
 
 def test_grid_witness_validates_moderate_sweep():
@@ -229,10 +238,6 @@ def test_grid_table_values_and_witnesses_agree(m, n, p, q):
     assert res == grid_sigma(p, q, n, m)
     if res.status == "open":
         with pytest.raises(OpenProblemError):
-            grid_witness(p, q, m, n)
-        return
-    if res.status == "not_covered":
-        with pytest.raises(ValueError):
             grid_witness(p, q, m, n)
         return
     assert res.status == "formula"

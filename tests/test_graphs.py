@@ -92,6 +92,14 @@ def test_header_with_extra_isolated_vertices():
     assert g.degrees == (1, 1, 0, 0, 0)
 
 
+def test_header_bounds_vertex_ids():
+    # The header fixes the vertex count wherever it appears in the document.
+    assert parse_edge_list("0 5\nn 6").n == 6
+    for text in ("n 2\n0 5", "0 5\nn 2", "n 0\n0 1"):
+        with pytest.raises(GraphFormatError, match="header count"):
+            parse_edge_list(text)
+
+
 def test_round_trip_degenerate_graphs():
     empty = Graph.from_edges(0, [])
     assert serialize_edge_list(empty) == "n 0\n"
