@@ -23,7 +23,7 @@ from .graphs import Graph, _require_int
 #: Distinguished "no white-degree constraint" value for q.
 INFINITY = math.inf
 
-_STATUSES = frozenset({"exact", "formula", "open", "not_covered"})
+_STATUSES = frozenset({"exact", "formula", "open"})
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,14 @@ class SigmaResult:
     """A computed spreading number.
 
     ``status`` is one of ``exact`` (solver-proven), ``formula`` (closed
-    form), ``open`` (unresolved case) or ``not_covered`` (no known formula).
-    ``value`` is absent for the last two.  A witness, when present, is a
-    minimum spreading set of the stated size.
+    form) or ``open`` (unresolved case, without a value).  A witness, when
+    present, is a minimum spreading set of the stated size.
     """
 
     value: int | None
     status: str
     witness: frozenset[int] | None = None
     trace: SpreadTrace | None = None
-    note: str | None = None
 
     def __post_init__(self) -> None:
         if self.status not in _STATUSES:
@@ -106,8 +104,6 @@ class SigmaResult:
             doc["witness"] = sorted(self.witness)
         if self.trace is not None:
             doc["trace"] = self.trace.to_json()
-        if self.note is not None:
-            doc["note"] = self.note
         return doc
 
 

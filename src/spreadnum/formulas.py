@@ -1,8 +1,7 @@
 """Closed-form spreading numbers, grid witness constructions, perimeter.
 
-Every value returned with status ``formula`` has a proof behind it; grids
-at ``p = 3`` with both sides at least 3 come back ``open``, and complete
-bipartite graphs at ``2 <= p <= min(r, s)`` come back ``not_covered``.
+Every value returned with status ``formula`` has a proof behind it; only
+grids at ``p = 3`` with both sides at least 3 come back ``open``.
 Witness generators reproduce the explicit constructions used in the proofs
 and re-validate themselves through the engine before returning.
 """
@@ -52,17 +51,15 @@ def _sigma_complete_bipartite(r: int, s: int, p: int, q: int | float) -> SigmaRe
     big, small = max(r, s), min(r, s)
     if p > big:
         return _formula(r + s)  # p exceeds the maximum degree
-    if small < p <= big:
-        if q >= small:
-            return _formula(big)
-        return _formula(big + small - q)
-    if p == 1:
-        # Each side shares one neighbourhood, so the first force into a side
-        # sees its white vertices, at most q, and colors them all: each side
-        # keeps max(0, size - q) seeds, and such seeds spread.
-        return _formula(max(1, max(0, r - q) + max(0, s - q)))
-    note = f"no closed form for complete bipartite with 2 <= p <= {small}"
-    return SigmaResult(value=None, status="not_covered", note=note)
+    if p > small:  # only the small side's vertices can ever be forced
+        return _formula(big + max(0, small - q))
+    # A side's vertices share one neighbourhood, so all of its white vertices
+    # turn blue in the same step.  Let B be the first side to gain a forced
+    # vertex, with a seeds in the other side A and b in B: that force needs
+    # a >= p and |B| - b <= q, and A then fills only if |A| - a <= q or
+    # a = |A|.  So |S| >= max(p, |A| - q) + (|B| - q)+, and such sets spread;
+    # max(p, t) - (t)+ never increases with t, so A is the bigger side.
+    return _formula(max(p, big - q) + max(0, small - q))
 
 
 #: family name -> closed form, called with the family's size parameters, p, q
@@ -77,11 +74,11 @@ _CLOSED_FORMS = {
 
 
 def sigma_closed_form(spec: FamilySpec, params: SpreadParams) -> SigmaResult:
-    """Closed-form value for a named family, or ``not_covered``.
+    """Closed-form value for a named family, ``open`` where none is known.
 
-    Covered: cycles, complete graphs, complete bipartite graphs except at
-    ``2 <= p <= min(r, s)``, stars (read as ``K_{1,n-1}``), and grids and
-    paths (which delegate to :func:`grid_sigma`, a path as the 1 x n grid).
+    Covered: cycles, complete graphs, complete bipartite graphs, stars (read
+    as ``K_{1,n-1}``), and grids and paths (which delegate to
+    :func:`grid_sigma`, a path as the 1 x n grid).
     """
     return _CLOSED_FORMS[spec.family](*spec.args, params.p, params.q)
 

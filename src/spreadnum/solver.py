@@ -37,7 +37,7 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .engine import SigmaResult, SpreadParams, _exact, _spread
-from .graphs import Graph
+from .graphs import Graph, _require_int
 
 
 class BudgetExhausted(RuntimeError):
@@ -201,40 +201,9 @@ def _spreading_sets(
 def sigma_exact(
     G: Graph, params: SpreadParams, budget: int | Budget | None = None
 ) -> SigmaResult:
-    """Exact spreading number with a re-validated witness and trace.
-
-    Components are independent (the rule never crosses them), so the value
-    is the sum of per-component minima, each the first cardinality level at
-    which the search finds a set.  Deterministic: candidate sets are
-    enumerated in a fixed lexicographic order.  A budget that runs out at
-    level ``k`` reports the solved minima plus ``k`` plus the static bounds
-    of the components not yet searched.  Without an explicit budget the
-    search is capped at :data:`DEFAULT_EVALUATION_BUDGET` closure
-    evaluations and raises :class:`BudgetExhausted` beyond that, so the
-    call always terminates.
-    """
-    if G.n < 1:
-        raise ValueError("graph must have at least one vertex")
-    b = _as_budget(budget)
-    witness: set[int] = set()
-    parts = [sorted(comp) for comp in G.components()]
-    bounds = [_degree_bound([G.degrees[v] for v in part], params.p) for part in parts]
-    for idx, part in enumerate(parts):
-        # Renumbered in id order, so each node's state is the component's size.
-        pos = {v: i for i, v in enumerate(part)}
-        adj = [tuple(pos[w] for w in G.adj[v]) for v in part]
-        for k in range(bounds[idx], len(part) + 1):
-            try:
-                found = next(_spreading_sets(adj, params, b, k), None)
-            except BudgetExhausted as exc:
-                exc.lower_bound = len(witness) + k + sum(bounds[idx + 1 :])
-                raise
-            if found is not None:
-                break
-        else:
-            raise AssertionError("the full vertex set always spreads")
-        witness.update(part[v] for v in found)
-    return _exact(G, params, frozenset(witness))
+    """Exact spreading number with a re-validated witness and trace: the
+    lexicographically first minimum spreading set of :func:`_minimum_sets`."""
+    return _exact(G, params, _minimum_sets(G, params, _as_budget(budget), 1)[1][0])
 
 
 def enumerate_minimum_sets(
@@ -255,8 +224,45 @@ def enumerate_minimum_sets(
 def _minimum_sets(
     G: Graph, params: SpreadParams, budget: Budget, limit: int | None
 ) -> tuple[int, list[frozenset[int]]]:
-    """The spreading number and :func:`enumerate_minimum_sets`, from one
-    :func:`sigma_exact` search."""
-    k = sigma_exact(G, params, budget).value
-    sets = _spreading_sets(G.adj, params, budget, k)
-    return k, list(islice(sets, limit))
+    """The spreading number and its first ``limit`` (or all) minimum
+    spreading sets in lexicographic order.
+
+    Components are independent (the rule never crosses them), so the value
+    is the sum of per-component minima, each the first cardinality level at
+    which the search finds a set.  Each component yields its first
+    ``limit`` sets and the unions are merged: two unions that differ in one
+    component compare as their parts there do, so a union using a later
+    set has ``limit`` smaller ones.  A budget that runs out at level ``k``
+    reports the solved minima plus ``k`` plus the static bounds of the
+    components not yet searched.  Without an explicit budget the search is
+    capped at :data:`DEFAULT_EVALUATION_BUDGET` closure evaluations and
+    raises :class:`BudgetExhausted` beyond that, so the call terminates.
+    """
+    if limit is not None:
+        _require_int("enumeration", "limit", limit, 1)
+    if G.n < 1:
+        raise ValueError("graph must have at least one vertex")
+    value, sets, shared = 0, [frozenset()], []
+    parts = [sorted(comp) for comp in G.components()]
+    bounds = [_degree_bound([G.degrees[v] for v in part], params.p) for part in parts]
+    for idx, part in enumerate(parts):
+        # Renumbered in id order, so each node's state is the component's size.
+        pos = {v: i for i, v in enumerate(part)}
+        adj = [tuple(pos[w] for w in G.adj[v]) for v in part]
+        for k in range(bounds[idx], len(part) + 1):
+            try:
+                found = list(islice(_spreading_sets(adj, params, budget, k), limit))
+            except BudgetExhausted as exc:
+                exc.lower_bound = value + k + sum(bounds[idx + 1 :])
+                raise
+            if found:
+                break
+        else:
+            raise AssertionError("the full vertex set always spreads")
+        value += k
+        if len(found) == 1:  # one shared list, not a copy of every union
+            shared.extend(part[v] for v in found[0])
+        else:
+            found = [frozenset(part[v] for v in s) for s in found]
+            sets = sorted((a | s for a in sets for s in found), key=sorted)[:limit]
+    return value, [a.union(shared) for a in sets]

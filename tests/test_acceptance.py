@@ -88,14 +88,9 @@ def test_criterion_1_closed_form_agreement():
     checked = 0
     for spec, g in specs:
         for p in range(1, 6):
-            if spec.family == "complete_bipartite":
-                r, s = spec.args
-                if not (p == 1 or min(r, s) < p):  # p = 1, or p separates the sides
-                    continue
             for q in ALL_Q:
                 res = sigma_closed_form(spec, P(p, q))
-                if res.status != "formula":
-                    continue
+                assert res.status == "formula", (spec, p, q)
                 exact = sigma_exact(g, P(p, q))
                 assert exact.value == res.value, (spec, p, q, res.value, exact.value)
                 _assert_starter(g, P(p, q), exact.witness)

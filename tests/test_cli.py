@@ -101,6 +101,10 @@ def test_formula_subcommand(capsys):
         capsys, "formula", "--family", "star", "6", "--p", "1", "--q", "2"
     )
     assert code == 0 and doc == {"status": "formula", "value": 3}
+    code, out, _ = run_cli(
+        capsys, "formula", "--family", "complete_bipartite", "3", "3", "--p", "2", "--q", "1"
+    )
+    assert code == 0 and out == '{"status":"formula","value":4}\n'
 
 
 def test_q_inf_spelling(capsys):

@@ -43,10 +43,10 @@ def test_family_examples():
 
 def test_not_covered_cases():
     assert sigma_closed_form(FamilySpec("star", (6,)), P(1, 2)).value == 3  # max(1, n-1-q)
-    assert (
-        sigma_closed_form(FamilySpec("complete_bipartite", (3, 3)), P(2, 1)).status
-        == "not_covered"
-    )
+    res = sigma_closed_form(FamilySpec("complete_bipartite", (3, 3)), P(2, 1))
+    assert res.status == "formula" and res.value == 4  # max(p, 3 - q) + (3 - q)+
+    with pytest.raises(ValueError):
+        SigmaResult(None, "not_covered")  # the status is retired
 
 
 def test_paths_against_solver():
@@ -89,7 +89,7 @@ def test_bipartite_covered_regime_against_solver():
             if r + s > 8:
                 continue
             g = complete_bipartite(r, s)
-            for p in (1, *range(s + 1, r + 1)):
+            for p in range(1, r + 2):
                 for q in ALL_Q:
                     res = sigma_closed_form(FamilySpec("complete_bipartite", (r, s)), P(p, q))
                     assert res.status == "formula"

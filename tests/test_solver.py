@@ -203,6 +203,23 @@ def test_disjoint_union_searches_each_component_alone(first, second, isolated):
     assert ru.value == ra.value + rb.value
     assert ru.witness == ra.witness | {v + a.n for v in rb.witness}
     assert used[2].used == used[0].used + used[1].used
+    # The minimum sets of the union are the lex-sorted product of the parts'.
+    sa = enumerate_minimum_sets(a, params)
+    sb = [frozenset(v + a.n for v in s) for s in enumerate_minimum_sets(b, params)]
+    product = sorted((x | y for x in sa for y in sb), key=sorted)
+    assert enumerate_minimum_sets(union, params) == product
+
+
+def test_enumeration_searches_each_component_once():
+    # A perfect matching at (1, 1): each pair costs one root and one node
+    # per set it yields, so the evaluations grow linearly with the pairs,
+    # not with their square as in one search over the whole graph.
+    g = Graph.from_edges(2000, [(2 * i, 2 * i + 1) for i in range(1000)])
+    for limit, evaluations in ((1, 2000), (4, 3000)):
+        used = Budget(None)
+        sets = enumerate_minimum_sets(g, P(1, 1), limit=limit, budget=used)
+        assert used.used == evaluations and len(sets) == limit
+        assert sets[0] == frozenset(range(0, 2000, 2))
 
 
 def test_many_components_take_linear_time():
@@ -252,6 +269,11 @@ def test_enumerate_respects_limit_and_validates():
     assert len(sets) == 2
     for s in sets:
         assert is_spreading_set(g, P(1, 1), s)
+    for bad in (0, -1, 2.5):  # rejected before any search
+        used = Budget(None)
+        with pytest.raises(ValueError):
+            enumerate_minimum_sets(grid(3, 3), P(1, 1), limit=bad, budget=used)
+        assert used.used == 0
 
 
 def test_budget_exhaustion_raises_with_bounds():
