@@ -55,11 +55,9 @@ class BudgetExhausted(RuntimeError):
         self.lower_bound = lower_bound
 
 
-#: Evaluation cap applied when no budget is given, so a search on an
-#: oversized graph reports exhaustion instead of running forever.  One
-#: evaluation is one closure-kernel call, a node of the subset search or a
-#: step of a completion-cutoff scan; the 5x5 grid at (3, 3) takes 194 of
-#: them.  Pass ``Budget(None)`` to lift it.
+#: Cap on :class:`Budget` evaluations when no budget is given, so a search on
+#: an oversized graph reports exhaustion instead of running forever; the 5x5
+#: grid at (3, 3) takes 194 of them.  Pass ``Budget(None)`` to lift it.
 DEFAULT_EVALUATION_BUDGET = 5_000_000
 
 
@@ -70,6 +68,7 @@ class Budget:
     kernel: the root of each level closes the fixed low-degree vertices,
     every other node adds one seed to a prefix closure, and each step of a
     completion-cutoff scan adds one candidate to the scan's closure.
+    Enumeration also charges one per union of components' sets it builds.
     """
 
     __slots__ = ("limit", "used")
@@ -80,12 +79,12 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    def charge(self) -> None:
-        self.used += 1
+    def charge(self, count: int = 1) -> None:
+        self.used += count
         if self.limit is not None and self.used > self.limit:
             raise BudgetExhausted(
                 f"closure-evaluation budget of {self.limit} exhausted",
-                evaluations=self.used - 1,
+                evaluations=self.used - count,
             )
 
 
@@ -252,6 +251,7 @@ def _minimum_sets(
         for k in range(bounds[idx], len(part) + 1):
             try:
                 found = list(islice(_spreading_sets(adj, params, budget, k), limit))
+                budget.charge(len(sets) * len(found) if len(found) > 1 else 0)
             except BudgetExhausted as exc:
                 exc.lower_bound = value + k + sum(bounds[idx + 1 :])
                 raise

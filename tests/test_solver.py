@@ -186,6 +186,10 @@ def test_pruned_search_yields_the_unpruned_sequence(case):
     ]
     assert enumerate_minimum_sets(g, params) == sorted(minimum, key=sorted)
     assert sigma_exact(g, params).witness == minimum[0]
+    # A limit keeps the first sets of each component and merges the unions,
+    # which must still be the first sets of the whole graph.
+    for limit in (1, 2, 3):
+        assert enumerate_minimum_sets(g, params, limit=limit) == minimum[:limit]
 
 
 @settings(max_examples=150, deadline=None)
@@ -194,32 +198,53 @@ def test_disjoint_union_searches_each_component_alone(first, second, isolated):
     # Each component is searched alone, renumbered in id order; a search
     # that read or colored a vertex outside its component, or mapped its
     # witness back wrongly, would change a value, a witness or a count.
+    # The parts' ids alternate in the union, so their components interleave.
     (a, params), (b, _) = first, second
     b = Graph.from_edges(b.n + isolated, b.edges())
-    shifted = [(u + a.n, v + a.n) for u, v in b.edges()]
-    union = Graph.from_edges(a.n + b.n, [*a.edges(), *shifted])
+    slots = sorted([(i, 0) for i in range(a.n)] + [(i, 1) for i in range(b.n)])
+    ia: dict[int, int] = {}
+    ib: dict[int, int] = {}
+    for new, (i, part) in enumerate(slots):
+        (ia, ib)[part][i] = new
+    edges = [(ia[u], ia[v]) for u, v in a.edges()]
+    union = Graph.from_edges(a.n + b.n, edges + [(ib[u], ib[v]) for u, v in b.edges()])
     used = [Budget(None) for _ in range(3)]
     ra, rb, ru = (sigma_exact(g, params, u) for g, u in zip((a, b, union), used))
     assert ru.value == ra.value + rb.value
-    assert ru.witness == ra.witness | {v + a.n for v in rb.witness}
+    assert ru.witness == {ia[v] for v in ra.witness} | {ib[v] for v in rb.witness}
     assert used[2].used == used[0].used + used[1].used
-    # The minimum sets of the union are the lex-sorted product of the parts'.
-    sa = enumerate_minimum_sets(a, params)
-    sb = [frozenset(v + a.n for v in s) for s in enumerate_minimum_sets(b, params)]
+    # The minimum sets of the union are the lex-sorted product of the parts',
+    # and a limit keeps the first of them.
+    sa = [frozenset(ia[v] for v in s) for s in enumerate_minimum_sets(a, params)]
+    sb = [frozenset(ib[v] for v in s) for s in enumerate_minimum_sets(b, params)]
     product = sorted((x | y for x in sa for y in sb), key=sorted)
     assert enumerate_minimum_sets(union, params) == product
+    for limit in (1, 2, 3):
+        assert enumerate_minimum_sets(union, params, limit=limit) == product[:limit]
 
 
 def test_enumeration_searches_each_component_once():
     # A perfect matching at (1, 1): each pair costs one root and one node
     # per set it yields, so the evaluations grow linearly with the pairs,
-    # not with their square as in one search over the whole graph.
+    # not with their square as in one search over the whole graph.  At
+    # limit 4 the merge also charges its at most 4 x 2 unions per pair.
     g = Graph.from_edges(2000, [(2 * i, 2 * i + 1) for i in range(1000)])
-    for limit, evaluations in ((1, 2000), (4, 3000)):
+    for limit, evaluations in ((1, 2000), (4, 10_990)):
         used = Budget(None)
         sets = enumerate_minimum_sets(g, P(1, 1), limit=limit, budget=used)
         assert used.used == evaluations and len(sets) == limit
         assert sets[0] == frozenset(range(0, 2000, 2))
+
+
+def test_enumeration_budget_bounds_the_merged_sets():
+    # 30 pairs have 2^30 minimum sets but cost only 90 search evaluations;
+    # the merge charges each union before building it, so the budget stops
+    # the product at once instead of building it.
+    g = Graph.from_edges(60, [(2 * i, 2 * i + 1) for i in range(30)])
+    with pytest.raises(BudgetExhausted) as info:
+        enumerate_minimum_sets(g, P(1, 1), budget=Budget(10_000))
+    assert info.value.evaluations <= 10_000
+    assert info.value.lower_bound == 30
 
 
 def test_many_components_take_linear_time():
