@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import combinations
+from typing import Callable
 
 from .engine import SpreadParams, is_spreading_set
 from .graphs import Graph, _check_size, _require_int
-from .solver import _as_budget, _minimum_sets, sigma_exact
+from .solver import Budget, _as_budget, enumerate_minimum_sets, sigma_exact
 
 
 def _check_qforcing(G: Graph, q: int) -> None:
@@ -117,6 +118,22 @@ class SpreadingCertificate:
     to_json = asdict
 
 
+def _certify(
+    G: Graph, base: SpreadParams, build: Callable[[Graph], Graph],
+    params: SpreadParams, budget: int | Budget | None, lift_limit: int | None,
+) -> tuple[int, int, int, bool]:
+    """Both certifiers' flow on one budget: the minimum sets of ``G`` under
+    ``base`` (up to ``lift_limit``), whether each lift ``S | leaves`` spreads
+    the gadget under ``params``, and the gadget's value.  Returns the base
+    value, the gadget value, the number of lifts and whether all spread."""
+    shared = _as_budget(budget)
+    sets = enumerate_minimum_sets(G, base, lift_limit, shared)
+    gadget = build(G)
+    leaves = gadget_leaves(gadget)
+    lifts_valid = all(is_spreading_set(gadget, params, S | leaves) for S in sets)
+    return len(sets[0]), sigma_exact(gadget, params, shared).value, len(sets), lifts_valid
+
+
 def certify_qforcing_gadget(
     G: Graph, q: int, budget: int | None = None, lift_limit: int | None = None
 ) -> QForcingCertificate:
@@ -124,31 +141,18 @@ def certify_qforcing_gadget(
 
     Also validates the constructive direction: every minimum zero-forcing
     set of ``G`` (up to ``lift_limit`` of them) must q-force the gadget
-    as-is, since original vertices keep their ids.
+    as-is, since original vertices keep their ids and there are no leaves.
     """
     _check_qforcing(G, q)
-    shared = _as_budget(budget)
-    zero, lifts = _minimum_sets(G, SpreadParams(1, 1), shared, lift_limit)
-    gadget = build_qforcing_gadget(G, q)
-    qf_params = SpreadParams(1, q)
-    lifts_valid = all(is_spreading_set(gadget, qf_params, S) for S in lifts)
-    gadget_value = sigma_exact(gadget, qf_params, shared).value
-    assert zero is not None and gadget_value is not None
-    return QForcingCertificate(
-        zero_forcing=zero,
-        gadget_forcing=gadget_value,
-        equal=gadget_value == zero,
-        lifts_checked=len(lifts),
-        lifts_valid=lifts_valid,
+    zero, value, checked, valid = _certify(
+        G, SpreadParams(1, 1), lambda H: build_qforcing_gadget(H, q),
+        SpreadParams(1, q), budget, lift_limit,
     )
+    return QForcingCertificate(zero, value, value == zero, checked, valid)
 
 
 def certify_spreading_gadget(
-    G: Graph,
-    p: int,
-    q: int,
-    budget: int | None = None,
-    lift_limit: int | None = None,
+    G: Graph, p: int, q: int, budget: int | None = None, lift_limit: int | None = None
 ) -> SpreadingCertificate:
     """Check ``spreading(gadget) == q-forcing(G) + p (p - 1)`` exactly.
 
@@ -157,20 +161,9 @@ def certify_spreading_gadget(
     q-forcing set is that set plus all leaves.
     """
     _check_spreading(G, p)
-    shared = _as_budget(budget)
-    forcing, lifts = _minimum_sets(G, SpreadParams(1, q), shared, lift_limit)
-    gadget = build_spreading_gadget(G, p)
-    sp_params = SpreadParams(p, q)
-    leaves = gadget_leaves(gadget)
-    lifts_valid = all(is_spreading_set(gadget, sp_params, S | leaves) for S in lifts)
-    gadget_value = sigma_exact(gadget, sp_params, shared).value
-    assert forcing is not None and gadget_value is not None
-    expected = forcing + p * (p - 1)
-    return SpreadingCertificate(
-        forcing=forcing,
-        gadget_spreading=gadget_value,
-        expected=expected,
-        equal=gadget_value == expected,
-        lifts_checked=len(lifts),
-        lifts_valid=lifts_valid,
+    forcing, value, checked, valid = _certify(
+        G, SpreadParams(1, q), lambda H: build_spreading_gadget(H, p),
+        SpreadParams(p, q), budget, lift_limit,
     )
+    expected = forcing + p * (p - 1)
+    return SpreadingCertificate(forcing, value, expected, value == expected, checked, valid)

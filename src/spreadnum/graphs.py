@@ -3,7 +3,8 @@
 Vertices are always ``0..n-1``.  Graphs are immutable after construction and
 safe to share between threads or workers.  The only ingestion format is a
 plain edge-list text document (one ``u v`` pair per line, optional ``n COUNT``
-header for isolated vertices); serialization reproduces it bit-exactly.
+header that admits isolated vertices and bounds every id below ``COUNT``);
+serialization reproduces it bit-exactly.
 """
 
 from __future__ import annotations

@@ -74,8 +74,8 @@ class Budget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int | None) -> None:
-        if limit is not None and limit < 1:
-            raise ValueError("budget must be a positive evaluation count")
+        if limit is not None:
+            _require_int("budget", "limit", limit, 1)
         self.limit = limit
         self.used = 0
 
@@ -201,8 +201,8 @@ def sigma_exact(
     G: Graph, params: SpreadParams, budget: int | Budget | None = None
 ) -> SigmaResult:
     """Exact spreading number with a re-validated witness and trace: the
-    lexicographically first minimum spreading set of :func:`_minimum_sets`."""
-    return _exact(G, params, _minimum_sets(G, params, _as_budget(budget), 1)[1][0])
+    lexicographically first set of :func:`enumerate_minimum_sets`."""
+    return _exact(G, params, enumerate_minimum_sets(G, params, 1, budget)[0])
 
 
 def enumerate_minimum_sets(
@@ -215,19 +215,9 @@ def enumerate_minimum_sets(
     them in lexicographic order.
 
     Each returned set has been validated by running it to closure; output is
-    sorted, so repeated runs agree element for element.
-    """
-    return _minimum_sets(G, params, _as_budget(budget), limit)[1]
-
-
-def _minimum_sets(
-    G: Graph, params: SpreadParams, budget: Budget, limit: int | None
-) -> tuple[int, list[frozenset[int]]]:
-    """The spreading number and its first ``limit`` (or all) minimum
-    spreading sets in lexicographic order.
-
-    Components are independent (the rule never crosses them), so the value
-    is the sum of per-component minima, each the first cardinality level at
+    sorted, so repeated runs agree element for element.  Components are
+    independent (the rule never crosses them), so the spreading number is
+    the sum of per-component minima, each the first cardinality level at
     which the search finds a set.  Each component yields its first
     ``limit`` sets and the unions are merged: two unions that differ in one
     component compare as their parts there do, so a union using a later
@@ -237,6 +227,7 @@ def _minimum_sets(
     capped at :data:`DEFAULT_EVALUATION_BUDGET` closure evaluations and
     raises :class:`BudgetExhausted` beyond that, so the call terminates.
     """
+    budget = _as_budget(budget)
     if limit is not None:
         _require_int("enumeration", "limit", limit, 1)
     if G.n < 1:
@@ -265,4 +256,4 @@ def _minimum_sets(
         else:
             found = [frozenset(part[v] for v in s) for s in found]
             sets = sorted((a | s for a in sets for s in found), key=sorted)[:limit]
-    return value, [a.union(shared) for a in sets]
+    return [a.union(shared) for a in sets]

@@ -60,6 +60,8 @@ def test_qforcing_gadget_structure():
         for u, v in combinations(b + c, 2):
             assert v in g.adj[u]
         assert all(v not in g.adj[u] for u in a for v in c)
+    # No leaves, so the certifier's lift `S | leaves` is the base set S itself.
+    assert gadget_leaves(g) == frozenset()
 
 
 def test_qforcing_gadget_clique_sizes_scale_with_budget():
@@ -142,6 +144,19 @@ def test_certify_spreading_examples():
         "lifts_checked": 4,
         "lifts_valid": True,
     }
+
+
+def test_certify_disconnected_base_graph():
+    """Both certificates on a base graph whose two parts interleave in id
+    order, so every lift unions one minimum set from each part."""
+    G = graphs.Graph.from_edges(5, [(0, 3), (1, 2), (2, 4)])
+    cert = certify_qforcing_gadget(G, 2)
+    assert (cert.zero_forcing, cert.gadget_forcing, cert.lifts_checked) == (2, 2, 4)
+    assert cert.equal and cert.lifts_valid
+    for p, q, gadget_value in [(2, 2, 4), (3, 1, 8)]:
+        cert = certify_spreading_gadget(G, p, q)
+        assert (cert.forcing, cert.gadget_spreading) == (2, gadget_value)
+        assert cert.equal and cert.lifts_valid
 
 
 def test_minimum_zero_forcing_sets_lift():

@@ -160,6 +160,15 @@ def test_integer_parameters_share_one_check(call, name, minimum, kind):
     assert budget.used == 0  # rejected before any search
 
 
+@pytest.mark.parametrize("bad", [0, 2.5], ids=["small", "float"])
+def test_budget_limit_shares_the_integer_check(bad):
+    with pytest.raises(ValueError, match=re.escape(f"budget requires integer limit >= 1, got {bad}")):
+        Budget(bad)
+    with pytest.raises(ValueError, match="integer limit"):
+        Budget("5")
+    assert Budget(None).limit is None  # None stays unlimited
+
+
 def test_star_shape():
     g = star(5)
     assert sorted(g.degrees) == [1, 1, 1, 1, 4]
