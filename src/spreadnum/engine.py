@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
-from .graphs import Graph, _require_int
+from .graphs import Graph, _is_int, _require_int
 
 #: Distinguished "no white-degree constraint" value for q.
 INFINITY = math.inf
@@ -39,8 +39,8 @@ class SpreadParams:
 
     def __post_init__(self) -> None:
         _require_int("SpreadParams", "p", self.p, 1)
-        if self.q != INFINITY and not (isinstance(self.q, int) and self.q >= 1):
-            raise ValueError(f"q must be a positive integer or INFINITY, got {self.q!r}")
+        if self.q != INFINITY:
+            _require_int("SpreadParams", "q", self.q, 1)
 
     @property
     def q_is_infinite(self) -> bool:
@@ -184,7 +184,7 @@ def _spread(
 def _check_seeds(G: Graph, seeds: Iterable[int]) -> frozenset[int]:
     S = frozenset(seeds)
     for v in S:
-        if not (isinstance(v, int) and 0 <= v < G.n):
+        if not (_is_int(v) and 0 <= v < G.n):
             raise ValueError(f"seed vertex {v!r} not in 0..{G.n - 1}")
     return S
 
@@ -238,7 +238,7 @@ def _replay(G: Graph, params: SpreadParams, initial, steps) -> bytearray | None:
     """
     n, adj, deg = G.n, G.adj, G.degrees
     p, qe = params.p, params.effective_q(n)
-    if not all(isinstance(v, int) and 0 <= v < n for v in initial):
+    if not all(_is_int(v) and 0 <= v < n for v in initial):
         return None
     blue, bc = bytearray(n), [0] * n
     for v in initial:
@@ -247,11 +247,11 @@ def _replay(G: Graph, params: SpreadParams, initial, steps) -> bytearray | None:
             for u in adj[v]:
                 bc[u] += 1
     for forcer, w in steps:
-        if not (isinstance(w, int) and 0 <= w < n) or blue[w] or bc[w] < p:
+        if not (type(w) is int and 0 <= w < n) or blue[w] or bc[w] < p:
             return None
         if forcer is _ANY:
             forcers = adj[w]
-        elif isinstance(forcer, int) and 0 <= forcer < n and forcer in adj[w]:
+        elif type(forcer) is int and 0 <= forcer < n and forcer in adj[w]:
             forcers = (forcer,)
         else:
             return None

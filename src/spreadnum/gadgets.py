@@ -14,23 +14,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Callable
 
 from .engine import SpreadParams, is_spreading_set
 from .graphs import Graph, _check_size, _require_int
 from .solver import Budget, _as_budget, enumerate_minimum_sets, sigma_exact
-
-
-def _check_qforcing(G: Graph, q: int) -> None:
-    _require_int("gadget", "q", q, 2)
-    # Each vertex gains q - 1 edges to its a's and the a-b and b-c cliques,
-    # which share the b-b edges: q (7q - 5) / 2 edges in all.
-    _check_size(3 * q * G.n, G.edge_count + G.n * q * (7 * q - 5) // 2)
-
-
-def _check_spreading(G: Graph, p: int) -> None:
-    _require_int("gadget", "p", p, 2)
-    _check_size(G.n + (p - 1) + p * (p - 1), G.edge_count + (p - 1) * (G.n + p))
 
 
 def build_qforcing_gadget(G: Graph, q: int) -> Graph:
@@ -42,7 +29,10 @@ def build_qforcing_gadget(G: Graph, q: int) -> Graph:
     companion's role and owner, e.g. ``"b2^i"``.  A gadget over
     ``graphs.MAX_GRAPH_SIZE`` raises ``ValueError`` before it is built.
     """
-    _check_qforcing(G, q)
+    _require_int("gadget", "q", q, 2)
+    # Each vertex gains q - 1 edges to its a's and the a-b and b-c cliques,
+    # which share the b-b edges: q (7q - 5) / 2 edges in all.
+    _check_size(3 * q * G.n, G.edge_count + G.n * q * (7 * q - 5) // 2)
     n = G.n
     edges = list(G.edges())
     labels = {v: f"v{v}" for v in range(n)}
@@ -70,7 +60,8 @@ def build_spreading_gadget(G: Graph, p: int) -> Graph:
     labeled ``"u1".."u(p-1)"`` and leaves ``"leaf j^uk"``.  A gadget over
     ``graphs.MAX_GRAPH_SIZE`` raises ``ValueError`` before it is built.
     """
-    _check_spreading(G, p)
+    _require_int("gadget", "p", p, 2)
+    _check_size(G.n + (p - 1) + p * (p - 1), G.edge_count + (p - 1) * (G.n + p))
     n = G.n
     edges = list(G.edges())
     labels = {v: f"v{v}" for v in range(n)}
@@ -119,16 +110,15 @@ class SpreadingCertificate:
 
 
 def _certify(
-    G: Graph, base: SpreadParams, build: Callable[[Graph], Graph],
-    params: SpreadParams, budget: int | Budget | None, lift_limit: int | None,
+    G: Graph, gadget: Graph, base: SpreadParams, params: SpreadParams,
+    budget: int | Budget | None, lift_limit: int | None,
 ) -> tuple[int, int, int, bool]:
-    """Both certifiers' flow on one budget: the minimum sets of ``G`` under
-    ``base`` (up to ``lift_limit``), whether each lift ``S | leaves`` spreads
-    the gadget under ``params``, and the gadget's value.  Returns the base
-    value, the gadget value, the number of lifts and whether all spread."""
+    """Both certifiers' flow on one budget and a gadget built (so checked)
+    before it: the value of ``G`` under ``base``, the gadget's under
+    ``params``, the number of minimum sets of ``G`` lifted (up to
+    ``lift_limit``), and whether every lift ``S | leaves`` spreads the gadget."""
     shared = _as_budget(budget)
     sets = enumerate_minimum_sets(G, base, lift_limit, shared)
-    gadget = build(G)
     leaves = gadget_leaves(gadget)
     lifts_valid = all(is_spreading_set(gadget, params, S | leaves) for S in sets)
     return len(sets[0]), sigma_exact(gadget, params, shared).value, len(sets), lifts_valid
@@ -143,10 +133,9 @@ def certify_qforcing_gadget(
     set of ``G`` (up to ``lift_limit`` of them) must q-force the gadget
     as-is, since original vertices keep their ids and there are no leaves.
     """
-    _check_qforcing(G, q)
     zero, value, checked, valid = _certify(
-        G, SpreadParams(1, 1), lambda H: build_qforcing_gadget(H, q),
-        SpreadParams(1, q), budget, lift_limit,
+        G, build_qforcing_gadget(G, q), SpreadParams(1, 1), SpreadParams(1, q),
+        budget, lift_limit,
     )
     return QForcingCertificate(zero, value, value == zero, checked, valid)
 
@@ -160,10 +149,9 @@ def certify_spreading_gadget(
     every candidate automatically; the constructive lift of a minimum
     q-forcing set is that set plus all leaves.
     """
-    _check_spreading(G, p)
     forcing, value, checked, valid = _certify(
-        G, SpreadParams(1, q), lambda H: build_spreading_gadget(H, p),
-        SpreadParams(p, q), budget, lift_limit,
+        G, build_spreading_gadget(G, p), SpreadParams(1, q), SpreadParams(p, q),
+        budget, lift_limit,
     )
     expected = forcing + p * (p - 1)
     return SpreadingCertificate(forcing, value, expected, value == expected, checked, valid)

@@ -33,9 +33,14 @@ def _check_size(vertices: int, edges: int) -> None:
         )
 
 
+def _is_int(value) -> bool:
+    """The one integer test: exactly ``int``, never ``bool`` (hot loops inline it)."""
+    return type(value) is int
+
+
 def _require_int(what: str, name: str, value: int, minimum: int) -> None:
     """The package's one integer-parameter check, shared by every module."""
-    if not isinstance(value, int) or value < minimum:
+    if not _is_int(value) or value < minimum:
         raise ValueError(f"{what} requires integer {name} >= {minimum}, got {value}")
 
 
@@ -62,8 +67,8 @@ class Graph:
         _require_int("graph", "vertex count", n, 0)
         nbrs: list[set[int]] = [set() for _ in range(n)]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u!r}, {v!r}) needs integer ids below n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             nbrs[u].add(v)
@@ -71,8 +76,8 @@ class Graph:
         lab = None
         if labels is not None:
             for v in labels:
-                if not 0 <= v < n:
-                    raise ValueError(f"label on unknown vertex {v}")
+                if not (_is_int(v) and 0 <= v < n):
+                    raise ValueError(f"label on unknown vertex {v!r}")
             lab = tuple(sorted(labels.items()))
         return Graph(n, tuple(tuple(sorted(s)) for s in nbrs), lab)
 

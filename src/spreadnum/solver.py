@@ -135,9 +135,10 @@ def _spreading_sets(
     A node whose children still choose seeds also finds its completion
     cutoff ``c`` (see the module docstring): a copy of its closure takes
     ``free[-1]``, ``free[-2]``, ... down to the first ``free[c]`` after
-    which it spreads, and the loop stops after child ``c``; with no such
-    ``c`` at or after ``start`` the node has no children.  The kernel
-    resumes, so one scan costs at most one closure's coloring work.  Both
+    which it spreads, and the loop stops after child ``c``.  Some ``c >=
+    start`` always spreads: at the root the suffix is every free vertex, and
+    a child made at ``i <= c`` holds its parent's spreading closure.  The
+    kernel resumes, so one scan costs at most one closure's coloring work.  Both
     prunes cut only subtrees with no spreading completion, so the sets
     found and their order do not depend on them.  Every kernel call costs
     one budget evaluation: each node, the root and the pruned ones
@@ -161,8 +162,6 @@ def _spreading_sets(
             cut, cut_bc, c = bytearray(blue), bc[:], len(free)
             while 0 in cut:
                 c -= 1
-                if c < start:
-                    return
                 if not cut[free[c]]:
                     charge()
                     _spread(adj, deg, p, qe, cut, cut_bc, (free[c],))

@@ -94,7 +94,6 @@ def subtree_partition(T: Graph, q: int) -> Partition:
     final part.  Each choice reads only the vertex's children, so any
     children-first order finds the same parts.
     """
-    _require_tree(T)
     _require_int("partition", "q", q, 1)
     order, parent = _rooted(T)
     root = order[0]
@@ -371,7 +370,6 @@ def search_property_pnp(T: Graph, p: int) -> PnpReport | None:
     minimum seed set of :func:`sigma_tree` with its closure order is a
     certificate whenever the bound is met (linear time).
     """
-    _require_tree(T)
     _require_int("certificate", "p", p, 2)
     res = sigma_tree(T, SpreadParams(p, INFINITY))
     if res.value != tree_lower_bound(T.n, p):

@@ -68,6 +68,10 @@ def test_closure_trace(capsys):
     )
     assert code == 0
     assert doc == {"final": [0], "initial": [0], "steps": []}
+    code, out, _ = run_cli(
+        capsys, "closure", "--family", "path", "3", "--p", "1", "--q", "1", "--set", ""
+    )
+    assert code == 0 and out == '{"final":[],"initial":[],"steps":[]}\n'
 
 
 def test_check_set_and_sequence(capsys):
@@ -344,6 +348,12 @@ def test_missing_graph_is_invalid(capsys):
 def test_bad_family_is_invalid(capsys):
     code, _, err = run_cli(capsys, "solve", "--family", "blob", "3", "--p", "1", "--q", "1")
     assert code == 2 and "family" in err
+
+
+def test_nonpositive_q_is_invalid(capsys):
+    code, out, err = run_cli(capsys, "solve", "--family", "path", "3", "--p", "1", "--q", "0")
+    assert code == 2 and out == ""
+    assert err == "error: SpreadParams requires integer q >= 1, got 0\n"
 
 
 def test_unknown_subcommand_usage_error(capsys):

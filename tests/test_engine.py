@@ -93,6 +93,10 @@ def test_empty_seed_closure_is_empty():
 def test_seed_out_of_range_rejected():
     with pytest.raises(ValueError):
         closure(path(3), P(1, 1), {5})
+    for bad in (True, 1.0):  # ids are exactly int, never bool or float
+        with pytest.raises(ValueError, match="seed vertex"):
+            closure(path(3), P(1, 1), [bad])
+        assert not check_spreading_sequence(path(3), P(1, 1), {0}, [bad, 2])
 
 
 def test_is_spreading_set_examples():
@@ -253,6 +257,10 @@ def test_verify_trace_rejects_bad_step():
         initial=frozenset({0}), steps=((None, 1),), final=frozenset({0, 1})
     )
     assert not verify_trace(g, P(1, 1), unnamed)  # a trace names every forcer
+    named_by_bool = SpreadTrace(
+        initial=frozenset({0}), steps=((False, 1),), final=frozenset({0, 1})
+    )
+    assert not verify_trace(g, P(1, 1), named_by_bool)  # ids are exactly int
     # The middle vertex has two white neighbors when it forces the first.
     both = SpreadTrace(
         initial=frozenset({1}), steps=((1, 0), (1, 2)), final=frozenset({0, 1, 2})

@@ -86,6 +86,11 @@ def test_parse_collapses_duplicate_edges():
     assert g.edge_count == 1
 
 
+def test_negative_header_rejected():
+    with pytest.raises(GraphFormatError, match="line 1: negative vertex count"):
+        parse_edge_list("n -1\n")
+
+
 def test_header_with_extra_isolated_vertices():
     g = parse_edge_list("n 5\n0 1")
     assert g.n == 5
@@ -119,6 +124,13 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(-1, [])
     with pytest.raises(ValueError, match="unknown vertex 2"):
         Graph.from_edges(2, [(0, 1)], {2: "x"})
+    # Ids are exactly int: a bool would be stored and serialized as "True",
+    # and a float index would fail with TypeError instead.
+    for edge in [(False, True), (0, 1.0)]:
+        with pytest.raises(ValueError, match="integer ids below n="):
+            Graph.from_edges(3, [edge])
+    with pytest.raises(ValueError, match="unknown vertex True"):
+        Graph.from_edges(2, [(0, 1)], {True: "x"})
 
 
 # One case per call site of ``graphs._require_int``: the call with the bad
@@ -136,6 +148,7 @@ _INT_SITES = [
     pytest.param(lambda x, b: grid(2, x), "size", 1, id="grid-n"),
     pytest.param(lambda x, b: FamilySpec("cycle", (x,)), "size", 3, id="FamilySpec"),
     pytest.param(lambda x, b: SpreadParams(x, 1), "p", 1, id="SpreadParams"),
+    pytest.param(lambda x, b: SpreadParams(1, x), "q", 1, id="SpreadParams-q"),
     pytest.param(lambda x, b: grid_sigma(2, 1, 3, x), "dimensions", 1, id="board"),
     pytest.param(lambda x, b: subtree_partition(path(4), x), "q", 1, id="subtree_partition"),
     pytest.param(lambda x, b: tree_lower_bound(x, 2), "n", 1, id="tree_lower_bound-n"),
@@ -151,16 +164,16 @@ _INT_SITES = [
 
 
 @pytest.mark.parametrize("call, name, minimum", _INT_SITES)
-@pytest.mark.parametrize("kind", ["small", "float", "none"])
+@pytest.mark.parametrize("kind", ["small", "float", "none", "bool"])
 def test_integer_parameters_share_one_check(call, name, minimum, kind):
-    bad = {"small": min(0, minimum - 1), "float": 2.5, "none": None}[kind]
+    bad = {"small": min(0, minimum - 1), "float": 2.5, "none": None, "bool": True}[kind]
     budget = Budget(10)
     with pytest.raises(ValueError, match=re.escape(f"integer {name} >= {minimum}, got {bad}")):
         call(bad, budget)
     assert budget.used == 0  # rejected before any search
 
 
-@pytest.mark.parametrize("bad", [0, 2.5], ids=["small", "float"])
+@pytest.mark.parametrize("bad", [0, 2.5, True], ids=["small", "float", "bool"])
 def test_budget_limit_shares_the_integer_check(bad):
     with pytest.raises(ValueError, match=re.escape(f"budget requires integer limit >= 1, got {bad}")):
         Budget(bad)

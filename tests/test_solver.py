@@ -294,7 +294,7 @@ def test_enumerate_respects_limit_and_validates():
     assert len(sets) == 2
     for s in sets:
         assert is_spreading_set(g, P(1, 1), s)
-    for bad in (0, -1, 2.5):  # rejected before any search
+    for bad in (0, -1, 2.5, True):  # rejected before any search
         used = Budget(None)
         with pytest.raises(ValueError):
             enumerate_minimum_sets(grid(3, 3), P(1, 1), limit=bad, budget=used)

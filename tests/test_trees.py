@@ -328,8 +328,16 @@ def test_sigma_tree_p2plus_scales_linearly():
 
 
 def test_sigma_tree_rejects_non_tree():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected a tree"):
         sigma_tree(cycle(5), P(2, 1))
+    # Every tree entry point checks its input, itself or through sigma_tree.
+    for call in (
+        lambda T: search_property_pnp(T, 2),
+        lambda T: check_property_pnp(T, 2, [0, 1], [2, 3, 4]),
+        lambda T: tree_upper_bound(T, 2, 1),
+    ):
+        with pytest.raises(ValueError, match="expected a tree"):
+            call(cycle(5))
 
 
 # ---------------------------------------------------------------------------
