@@ -86,7 +86,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adj)
+        return tuple(map(len, self.adj))
 
     @cached_property
     def max_degree(self) -> int:
@@ -118,7 +118,7 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        return self.n > 0 and len(self.components()) == 1
+        return self.n > 0 and len(_bfs(self.adj, 0, [-2] * self.n)) == self.n
 
     @cached_property
     def is_tree(self) -> bool:
@@ -150,13 +150,24 @@ def parse_edge_list(text: str) -> Graph:
     vertices or edges raises ``ValueError`` before the graph is built.
     """
     header: int | None = None
-    edges: list[tuple[int, int]] = []
-    max_id = -1
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        tokens = raw.split()
-        if not tokens:
+    us: list[int] = []
+    vs: list[int] = []
+    for lineno, tokens in enumerate(map(str.split, text.splitlines()), 1):
+        if len(tokens) == 2 and tokens[0] != "n":
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raw = text.splitlines()[lineno - 1]
+                raise GraphFormatError(f"line {lineno}: non-integer token in {raw!r}") from None
+            if u < 0 or v < 0:
+                raise GraphFormatError(f"line {lineno}: negative vertex id")
+            if u == v:
+                raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
+            us.append(u)
+            vs.append(v)
+        elif not tokens:
             continue
-        if tokens[0] == "n":
+        elif tokens[0] == "n":
             if header is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate 'n' header")
             if len(tokens) != 2:
@@ -169,33 +180,27 @@ def parse_edge_list(text: str) -> Graph:
                 ) from None
             if header < 0:
                 raise GraphFormatError(f"line {lineno}: negative vertex count")
-            continue
-        if len(tokens) != 2:
+        else:
+            raw = text.splitlines()[lineno - 1]
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise GraphFormatError(
-                f"line {lineno}: non-integer token in {raw!r}"
-            ) from None
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"line {lineno}: negative vertex id")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((u, v))
-        max_id = max(max_id, u, v)
+    max_id = max(max(us, default=-1), max(vs, default=-1))
     if header is not None and max_id >= header:
         raise GraphFormatError(f"vertex id {max_id} outside header count {header}")
     n = max_id + 1 if header is None else header
-    _check_size(n, len(edges))
-    return Graph.from_edges(n, edges)
+    _check_size(n, len(us))
+    # Every pair is already checked: exact ints, non-negative, no loop, below n.
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in zip(us, vs):
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
 
 
 def serialize_edge_list(G: Graph) -> str:
     """Deterministic edge-list text; ``parse_edge_list`` round-trips it."""
-    lines = [f"n {G.n}"]
-    lines.extend(f"{u} {v}" for u, v in G.edges())
-    return "\n".join(lines) + "\n"
+    return f"n {G.n}\n" + "".join(
+        f"{u} {v}\n" for u, nbrs in enumerate(G.adj) for v in nbrs if v > u
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,22 +241,25 @@ def star(n: int) -> Graph:
 def grid(m: int, n: int) -> Graph:
     """Grid with ``m`` columns and ``n`` rows; cell ``(c, r)`` (1-based) has
     id ``(c - 1) * n + (r - 1)``.  This is the Cartesian product of the paths
-    P_m and P_n, built directly: ``v``'s neighbors are ``(v - n, v - 1,
-    v + 1, v + n)``, already sorted, clipped at the border."""
+    P_m and P_n, built directly a column at a time: ``v``'s neighbors are
+    ``(v - n, v - 1, v + 1, v + n)``, already sorted, clipped at the border.
+    One row has the adjacency of one column, so it is built as one."""
     _require_int("grid", "size", m, 1)
     _require_int("grid", "size", n, 1)
+    if n == 1:
+        m, n = 1, m
     cells = m * n
-    adj = []
-    for v in range(cells):
-        r = v % n
-        nbrs = [v - n] if v >= n else []
-        if r:
-            nbrs.append(v - 1)
-        if r < n - 1:
-            nbrs.append(v + 1)
-        if v + n < cells:
-            nbrs.append(v + n)
-        adj.append(tuple(nbrs))
+    adj: list[tuple[int, ...]] = []
+    for top in range(0, cells, n):
+        ranges = [range(top - 1, top + n - 1), range(top + 1, top + n + 1)]
+        if top:
+            ranges.insert(0, range(top - n, top))
+        if top + n < cells:
+            ranges.append(range(top + n, top + 2 * n))
+        column = list(zip(*ranges))
+        column[0] = tuple(w for w in column[0] if w != top - 1)
+        column[-1] = tuple(w for w in column[-1] if w != top + n)
+        adj += column
     return Graph(cells, tuple(adj))
 
 

@@ -44,9 +44,11 @@ from conftest import _components_within
 
 
 def test_parse_small_path():
-    g = parse_edge_list("0 1\n1 2")
-    assert g.n == 3
-    assert list(g.edges()) == [(0, 1), (1, 2)]
+    # Lines end where str.splitlines ends them, at \r\n and \x0b too.
+    for text in ("0 1\n1 2", "0 1\r\n1 2", "0 1\x0b1 2"):
+        g = parse_edge_list(text)
+        assert g.n == 3
+        assert list(g.edges()) == [(0, 1), (1, 2)]
 
 
 def test_parse_header_only():
@@ -81,6 +83,37 @@ def test_parse_rejects_negative_and_bad_shape():
         parse_edge_list("n 2\nn 3")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 1\n1 x", "line 2: non-integer token in '1 x'"),
+        ("0 1\n 0  1  2 ", "line 2: expected 'u v', got ' 0  1  2 '"),
+        ("7", "line 1: expected 'u v', got '7'"),
+        ("n 2\nn 3", "line 2: duplicate 'n' header"),
+        ("n 2 3", "line 1: header must be 'n COUNT'"),
+        ("\nn", "line 2: header must be 'n COUNT'"),
+        ("n x", "line 1: non-integer vertex count 'x'"),
+        ("n -1", "line 1: negative vertex count"),
+        ("0 -1", "line 1: negative vertex id"),
+        ("-1 -1", "line 1: negative vertex id"),
+        ("0 1\n2 2", "line 2: self-loop at vertex 2"),
+        ("n 2\n0 5", "vertex id 5 outside header count 2"),
+        # The first bad line in the document wins, whatever its kind.
+        ("0 1\n2 2\n3 x", "line 2: self-loop at vertex 2"),
+        ("0 x\n2 2", "line 1: non-integer token in '0 x'"),
+        ("0 x\nn 2\n0 5", "line 1: non-integer token in '0 x'"),
+        # Lines end where str.splitlines ends them: \r\n is one boundary,
+        # \x0b is one too, and the quoted line keeps neither.
+        ("0 1\r\n1 x", "line 2: non-integer token in '1 x'"),
+        ("0 1\x0b1 x", "line 2: non-integer token in '1 x'"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(GraphFormatError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
 def test_parse_collapses_duplicate_edges():
     g = parse_edge_list("0 1\n1 0\n0 1")
     assert g.edge_count == 1
@@ -113,6 +146,12 @@ def test_round_trip_degenerate_graphs():
     assert parse_edge_list(serialize_edge_list(isolated)) == isolated
     assert not empty.is_connected and not empty.is_tree
     assert empty.components() == [] and empty.max_degree == 0
+
+
+def test_serialize_golden_text():
+    assert serialize_edge_list(grid(3, 2)) == "n 6\n0 1\n0 2\n1 3\n2 3\n2 4\n3 5\n4 5\n"
+    isolated = Graph.from_edges(6, [(4, 1), (1, 3), (3, 4)])
+    assert serialize_edge_list(isolated) == "n 6\n1 3\n1 4\n3 4\n"
 
 
 def test_from_edges_rejects_bad_input():
@@ -196,14 +235,15 @@ def test_grid_shape():
 
 
 def test_grid_matches_product_vertex_for_vertex():
-    for m in range(1, 13):
-        for n in range(1, 13):
-            g = grid(m, n)
-            # Cell (c, r), 0-based, is joined to (c, r + 1) and (c + 1, r).
-            edges = [
-                (c * n + r, c * n + r + 1) for c in range(m) for r in range(n - 1)
-            ] + [((c - 1) * n + r, c * n + r) for c in range(1, m) for r in range(n)]
-            assert g == Graph.from_edges(m * n, edges)
+    # Beyond the small boards: one row, one column and two rows, long.
+    shapes = [(m, n) for m in range(1, 13) for n in range(1, 13)]
+    for m, n in shapes + [(1, 500), (500, 1), (2, 300), (300, 2)]:
+        g = grid(m, n)
+        # Cell (c, r), 0-based, is joined to (c, r + 1) and (c + 1, r).
+        edges = [
+            (c * n + r, c * n + r + 1) for c in range(m) for r in range(n - 1)
+        ] + [((c - 1) * n + r, c * n + r) for c in range(1, m) for r in range(n)]
+        assert g == Graph.from_edges(m * n, edges)
 
 
 def test_grid_id_convention():
@@ -321,6 +361,7 @@ def test_components_match_the_reference(g):
     # Sparse draws leave isolated vertices; n = 0 has no components.
     expected = _components_within(g, set(range(g.n)))
     assert g.components() == [frozenset(c) for c in expected]
+    assert g.is_connected == (len(expected) == 1)
 
 
 @settings(max_examples=100, deadline=None)
