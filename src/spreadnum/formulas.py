@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .engine import SigmaResult, SpreadParams, is_spreading_set
-from .graphs import FamilySpec, _require_int, build_family
+from .graphs import FamilySpec, _is_int, _require_int, build_family
 
 
 class OpenProblemError(Exception):
@@ -137,8 +137,8 @@ def _grid_case(p: int, q: int | float, m: int, n: int):
 
 
 def grid_cell_id(c: int, r: int, m: int, n: int) -> int:
-    """Vertex id of 1-based cell ``(col, row)`` in the ``m x n`` grid."""
-    if not (1 <= c <= m and 1 <= r <= n):
+    """Vertex id of 1-based integer cell ``(col, row)`` in the ``m x n`` grid."""
+    if not (_is_int(c) and _is_int(r) and 1 <= c <= m and 1 <= r <= n):
         raise ValueError(f"cell ({c}, {r}) outside {m} x {n} grid")
     return (c - 1) * n + (r - 1)
 
@@ -146,7 +146,7 @@ def grid_cell_id(c: int, r: int, m: int, n: int) -> int:
 def grid_id_cell(v: int, m: int, n: int) -> tuple[int, int]:
     """1-based cell ``(col, row)`` of vertex ``v`` in the ``m x n`` grid; the inverse
     of :func:`grid_cell_id`, to read a trace as cells for :func:`blue_perimeter`."""
-    if not 0 <= v < m * n:
+    if not (_is_int(v) and 0 <= v < m * n):
         raise ValueError(f"vertex {v} outside {m} x {n} grid")
     return (v // n + 1, v % n + 1)
 
@@ -226,18 +226,12 @@ def blue_perimeter(m: int, n: int, cells) -> int:
     """Total boundary length of the union of unit squares at ``cells``.
 
     Equals ``4 |S| - 2 (number of axis-adjacent pairs inside S)``.  The
-    full board measures ``2 (m + n)``.
+    full board measures ``2 (m + n)``.  The next cell in a row has id
+    ``+ n``, and the next in a column, unless the cell ends it, ``+ 1``.
     """
     _check_board(m, n)
-    S = set()
-    for c, r in cells:
-        if not (1 <= c <= m and 1 <= r <= n):
-            raise ValueError(f"cell ({c}, {r}) outside {m} x {n} board")
-        S.add((c, r))
-    adjacent = sum(
-        ((c + 1, r) in S) + ((c, r + 1) in S)
-        for (c, r) in S
-    )
+    S = {grid_cell_id(c, r, m, n) for c, r in cells}
+    adjacent = sum((v + n in S) + (v % n < n - 1 and v + 1 in S) for v in S)
     return 4 * len(S) - 2 * adjacent
 
 

@@ -24,7 +24,7 @@ from .engine import (
     SpreadParams,
     _exact,
 )
-from .graphs import Graph, _bfs, _require_int
+from .graphs import Graph, _bfs, _is_int, _require_int
 
 
 def _require_tree(T: Graph) -> None:
@@ -68,7 +68,7 @@ def partition_is_valid(T: Graph, q: int, partition: Partition) -> bool:
     part_of = [-1] * T.n
     for i, part in enumerate(partition):
         for v in part:
-            if not 0 <= v < T.n or part_of[v] >= 0:
+            if not (_is_int(v) and 0 <= v < T.n) or part_of[v] >= 0:
                 return False
             part_of[v] = i
     if -1 in part_of:
@@ -83,18 +83,8 @@ def partition_is_valid(T: Graph, q: int, partition: Partition) -> bool:
     return all(inner[i] == 2 * (len(part) - 1) for i, part in enumerate(partition))
 
 
-def subtree_partition(T: Graph, q: int) -> Partition:
-    """Smallest partition of a tree into induced subtrees of max degree q+1.
-
-    A bottom-up pass, children first, picks the parts and a top-down pass
-    fills them (linear time): a vertex whose remaining degree exceeds
-    ``q + 1`` keeps itself plus its ``q + 1`` lowest-id child subtrees as
-    one part, its remaining child subtrees split off as whole parts, and
-    the processed subtree is removed.  Whatever survives to the root is one
-    final part.  Each choice reads only the vertex's children, so any
-    children-first order finds the same parts.
-    """
-    _require_int("partition", "q", q, 1)
+def _parts(T: Graph, q: int) -> list[list[int]]:
+    """The parts of :func:`subtree_partition`, each a list in BFS order."""
     order, parent = _rooted(T)
     root = order[0]
     # Bottom up: part[v] is the index of the part that v heads, or -1.  A
@@ -115,17 +105,24 @@ def subtree_partition(T: Graph, q: int) -> Partition:
         if part[v] < 0:
             part[v] = part[parent[v]]
         members[part[v]].append(v)
-    result = Partition(tuple(frozenset(m) for m in members))
+    return members
+
+
+def subtree_partition(T: Graph, q: int) -> Partition:
+    """Smallest partition of a tree into induced subtrees of max degree q+1.
+
+    A bottom-up pass, children first, picks the parts and a top-down pass
+    fills them (linear time): a vertex whose remaining degree exceeds
+    ``q + 1`` keeps itself plus its ``q + 1`` lowest-id child subtrees as
+    one part, its remaining child subtrees split off as whole parts, and
+    the processed subtree is removed.  Whatever survives to the root is one
+    final part.  Each choice reads only the vertex's children, so any
+    children-first order finds the same parts.
+    """
+    _require_int("partition", "q", q, 1)
+    result = Partition(tuple(frozenset(m) for m in _parts(T, q)))
     assert partition_is_valid(T, q, result)
     return result
-
-
-def _part_seed(T: Graph, part: frozenset[int]) -> int:
-    """Lowest-id leaf of the subtree induced by ``part``."""
-    for v in sorted(part):
-        if sum(1 for u in T.adj[v] if u in part) <= 1:
-            return v
-    raise AssertionError("induced subtree without a leaf")
 
 
 def _percolating_seeds(T: Graph, p: int) -> frozenset[int]:
@@ -157,9 +154,10 @@ def _percolating_seeds(T: Graph, p: int) -> frozenset[int]:
 def sigma_tree(T: Graph, params: SpreadParams) -> SigmaResult:
     """Spreading number of a tree, with a validated witness, without search.
 
-    ``p = 1``: one seed per part of :func:`subtree_partition` (a leaf of the
-    part) spreads the whole tree; with unlimited white budget a single
-    vertex suffices.  ``p >= 2``: the value is independent of ``q`` and
+    ``p = 1``: one leaf of each part of :func:`subtree_partition` spreads
+    the whole tree, and the part's last vertex in BFS order is one: none of
+    its children is in the part.  With unlimited white budget vertex 0
+    alone suffices.  ``p >= 2``: the value is independent of ``q`` and
     equals the size of a minimum ``p``-neighbor bootstrap percolating set,
     which :func:`_percolating_seeds` builds.  Either witness is revalidated
     by a closure under the requested parameters.
@@ -170,8 +168,7 @@ def sigma_tree(T: Graph, params: SpreadParams) -> SigmaResult:
     elif params.q_is_infinite:
         seeds = frozenset({0})
     else:
-        parts = subtree_partition(T, params.q)
-        seeds = frozenset(_part_seed(T, part) for part in parts)
+        seeds = frozenset(part[-1] for part in _parts(T, params.q))
     return _exact(T, params, seeds)
 
 
@@ -288,10 +285,10 @@ def check_property_pnp(
     _require_tree(T)
     _require_int("certificate", "p", p, 2)
     S = frozenset(S)
-    if not S <= set(range(T.n)):
+    if not all(_is_int(v) and 0 <= v < T.n for v in S):
         raise ValueError("seed set contains unknown vertices")
     ordering = tuple(ordering)
-    if set(ordering) != set(range(T.n)) - S or len(set(ordering)) != len(ordering):
+    if not all(map(_is_int, ordering)) or sorted(ordering) != sorted(set(range(T.n)) - S):
         raise ValueError("ordering is not a permutation of the non-seed vertices")
     n = T.n
     need = tree_lower_bound(n, p)

@@ -256,6 +256,13 @@ def test_cell_id_round_trip():
         grid_cell_id(5, 1, 4, 3)
     with pytest.raises(ValueError):
         grid_id_cell(12, 4, 3)
+    # Coordinates and ids are exactly int.
+    for bad in ((1.5, 1), (1, 2.0), (True, 1)):
+        with pytest.raises(ValueError, match="outside"):
+            grid_cell_id(*bad, 3, 3)
+    for bad in (4.0, True):
+        with pytest.raises(ValueError, match="outside"):
+            grid_id_cell(bad, 3, 3)
 
 
 def test_three_three_separation():
@@ -285,6 +292,10 @@ def test_perimeter_rejects_out_of_range():
         blue_perimeter(3, 3, [(4, 1)])
     with pytest.raises(ValueError):
         blue_perimeter(3, 3, [(0, 2)])
+    with pytest.raises(ValueError, match="outside 3 x 3 grid"):
+        blue_perimeter(3, 3, [(1.5, 1), (2, 2)])
+    with pytest.raises(ValueError, match="outside 3 x 3 grid"):
+        blue_perimeter(3, 3, [(2, 2), (True, 3)])
     for m, n in ((0, 4), (3, -3), (2.5, 3)):
         with pytest.raises(ValueError, match="dimensions"):
             blue_perimeter(m, n, [])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -111,6 +112,10 @@ def test_partition_legality_random():
         q = rng.randrange(1, 4)
         parts = subtree_partition(t, q)
         assert partition_is_valid(t, q, parts)
+        # Seeding any one leaf of each part spreads the tree at (1, q).
+        leaves = [[v for v in part if sum(u in part for u in t.adj[v]) <= 1] for part in parts]
+        for seeds in itertools.product(*leaves):
+            assert naive_is_spreading(t, P(1, q), seeds)
 
 
 def test_partition_is_valid_rejects_broken_partitions():
@@ -125,6 +130,9 @@ def test_partition_is_valid_rejects_broken_partitions():
     assert not partition_is_valid(path(5), 1, parts({0, 2}, {1}, {3, 4}))  # disconnected
     assert not partition_is_valid(star(4), 1, parts(range(4)))  # center degree 3 > 2
     assert partition_is_valid(star(4), 2, parts(range(4)))
+    # Vertex ids are exactly int: True is not vertex 1, and 1.0 is no id.
+    assert not partition_is_valid(path(5), 1, parts({0, True, 2}, {3, 4}))
+    assert not partition_is_valid(path(5), 1, parts({0, 1.0, 2}, {3, 4}))
 
 
 def test_partition_is_valid_rejects_non_tree():
@@ -261,6 +269,11 @@ def test_sigma_tree_matches_solver_for_forcing():
         assert res.value == sigma_exact(t, P(1, q)).value
         assert is_spreading_set(t, P(1, q), res.witness)
         assert verify_trace(t, P(1, q), res.trace)
+        if q != INFINITY:
+            # exactly one seed per part, and it is a leaf of its part
+            for part in subtree_partition(t, q):
+                (v,) = part & res.witness
+                assert sum(u in part for u in t.adj[v]) <= 1
 
 
 @st.composite
@@ -504,6 +517,12 @@ def test_certificate_rejects_bad_ordering():
         check_property_pnp(path(5), 2, frozenset({0, 2, 4}), (1,))
     with pytest.raises(ValueError, match="unknown vertices"):
         check_property_pnp(path(5), 2, frozenset({0, 2, 7}), (1, 3, 4))
+    # Vertex ids are exactly int, in the seed set and in the ordering.
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match="unknown vertices"):
+            check_property_pnp(path(5), 2, {0, bad, 3}, (2, 4))
+        with pytest.raises(ValueError, match="not a permutation"):
+            check_property_pnp(path(5), 2, {0, 2, 4}, (bad, 3))
 
 
 def test_certificate_requires_p_at_least_2():
