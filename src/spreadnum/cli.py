@@ -7,9 +7,10 @@ input, 3 evaluation budget exhausted, 4 open/unresolved case, so scripts
 can branch on the outcome.  ``q`` is spelled ``inf`` for the unconstrained
 white budget.
 
-Each command imports only the submodules it runs, inside :func:`_run`:
-without a bytecode cache every process compiles the source it imports, so
-loading the whole package would cost more than most commands compute.
+Each command imports only the submodules it runs, inside :func:`_run`, and
+none imports ``dataclasses`` (the records are NamedTuples): without a
+bytecode cache every process compiles the source it imports, so loading
+more would cost more than most commands compute.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import Graph, _is_int, _require_int
 
@@ -26,21 +25,22 @@ INFINITY = math.inf
 _STATUSES = frozenset({"exact", "formula", "open"})
 
 
-@dataclass(frozen=True)
-class SpreadParams:
+class SpreadParams(NamedTuple("SpreadParams", [("p", int), ("q", int | float)])):
     """The pair ``(p, q)``: blue-neighbor threshold and forcer white budget.
 
     ``q`` is a positive integer or :data:`INFINITY`; infinity is a
     distinguished value, never an integer sentinel.
     """
 
-    p: int
-    q: int | float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_int("SpreadParams", "p", self.p, 1)
-        if self.q != INFINITY:
-            _require_int("SpreadParams", "q", self.q, 1)
+    def __new__(cls, p: int, q: int | float) -> SpreadParams:
+        _require_int("SpreadParams", "p", p, 1)
+        if q != INFINITY:
+            _require_int("SpreadParams", "q", q, 1)
+        return super().__new__(cls, p, q)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     @property
     def q_is_infinite(self) -> bool:
@@ -51,8 +51,7 @@ class SpreadParams:
         return n if self.q_is_infinite else self.q
 
 
-@dataclass(frozen=True)
-class SpreadTrace:
+class SpreadTrace(NamedTuple):
     """Replayable record of one closure run.
 
     ``steps`` lists ``(forcer, forced)`` pairs in the order vertices turned
@@ -76,8 +75,10 @@ class SpreadTrace:
         }
 
 
-@dataclass(frozen=True)
-class SigmaResult:
+class SigmaResult(NamedTuple("SigmaResult", [
+    ("value", int | None), ("status", str),
+    ("witness", frozenset[int] | None), ("trace", SpreadTrace | None),
+])):
     """A computed spreading number.
 
     ``status`` is one of ``exact`` (solver-proven), ``formula`` (closed
@@ -85,16 +86,16 @@ class SigmaResult:
     present, is a minimum spreading set of the stated size.
     """
 
-    value: int | None
-    status: str
-    witness: frozenset[int] | None = None
-    trace: SpreadTrace | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.status not in _STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.witness is not None and self.value != len(self.witness):
+    def __new__(cls, value, status, witness=None, trace=None) -> SigmaResult:
+        if status not in _STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        if witness is not None and value != len(witness):
             raise ValueError("witness size disagrees with value")
+        return super().__new__(cls, value, status, witness, trace)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def to_json(self) -> dict:
         doc: dict = {"status": self.status}
@@ -213,7 +214,8 @@ def closure(
 def _exact(G: Graph, params: SpreadParams, seeds: frozenset[int]) -> SigmaResult:
     """The one maker of ``exact`` results: minimum ``seeds``, re-validated."""
     final, trace = closure(G, params, seeds)
-    assert final == frozenset(range(G.n)), "witness failed re-validation"
+    if len(final) != G.n:  # final is a subset of range(n)
+        raise AssertionError("witness failed re-validation")
     return SigmaResult(value=len(seeds), status="exact", witness=seeds, trace=trace)
 
 

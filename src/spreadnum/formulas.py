@@ -8,7 +8,7 @@ and re-validate themselves through the engine before returning.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .engine import SigmaResult, SpreadParams, is_spreading_set
 from .graphs import FamilySpec, _is_int, _require_int, build_family
@@ -138,6 +138,7 @@ def _grid_case(p: int, q: int | float, m: int, n: int):
 
 def grid_cell_id(c: int, r: int, m: int, n: int) -> int:
     """Vertex id of 1-based integer cell ``(col, row)`` in the ``m x n`` grid."""
+    _check_board(m, n)
     if not (_is_int(c) and _is_int(r) and 1 <= c <= m and 1 <= r <= n):
         raise ValueError(f"cell ({c}, {r}) outside {m} x {n} grid")
     return (c - 1) * n + (r - 1)
@@ -146,6 +147,7 @@ def grid_cell_id(c: int, r: int, m: int, n: int) -> int:
 def grid_id_cell(v: int, m: int, n: int) -> tuple[int, int]:
     """1-based cell ``(col, row)`` of vertex ``v`` in the ``m x n`` grid; the inverse
     of :func:`grid_cell_id`, to read a trace as cells for :func:`blue_perimeter`."""
+    _check_board(m, n)
     if not (_is_int(v) and 0 <= v < m * n):
         raise ValueError(f"vertex {v} outside {m} x {n} grid")
     return (v // n + 1, v % n + 1)
@@ -216,9 +218,12 @@ def grid_witness(p: int, q: int | float, m: int, n: int) -> frozenset[tuple[int,
     cells = witness()
     if n > m:
         cells = {(r, c) for (c, r) in cells}
-    assert len(cells) == sig.value, "witness size must match the formula"
-    ids = [grid_cell_id(c, r, m, n) for c, r in cells]
-    assert is_spreading_set(G, SpreadParams(p, q), ids), "witness failed validation"
+    if len(cells) != sig.value:
+        raise AssertionError("witness size must match the formula")
+    # _grid_case has checked the board, so no cell needs grid_cell_id's checks.
+    ids = [(c - 1) * n + (r - 1) for c, r in cells]
+    if not is_spreading_set(G, SpreadParams(p, q), ids):
+        raise AssertionError("witness failed validation")
     return frozenset(cells)
 
 
@@ -235,8 +240,7 @@ def blue_perimeter(m: int, n: int, cells) -> int:
     return 4 * len(S) - 2 * adjacent
 
 
-@dataclass(frozen=True)
-class ConjectureProbe:
+class ConjectureProbe(NamedTuple):
     """Desk-scale evidence for the equality of two open grid values."""
 
     m: int
@@ -245,7 +249,8 @@ class ConjectureProbe:
     sigma_34: int | None
     equal: bool | None
 
-    to_json = asdict
+    def to_json(self) -> dict:
+        return self._asdict()
 
 
 def probe_grid_conjecture(m: int, n: int, budget: int | None = None) -> ConjectureProbe:

@@ -12,8 +12,8 @@ constructive "lift" of every minimum base set.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .engine import SpreadParams, is_spreading_set
 from .graphs import Graph, _check_size, _require_int
@@ -82,8 +82,7 @@ def gadget_leaves(G: Graph) -> frozenset[int]:
     return frozenset(v for v, lab in G.label_map.items() if lab.startswith("leaf"))
 
 
-@dataclass(frozen=True)
-class QForcingCertificate:
+class QForcingCertificate(NamedTuple):
     """Exact comparison of zero forcing on G and q-forcing on its gadget."""
 
     zero_forcing: int
@@ -92,11 +91,11 @@ class QForcingCertificate:
     lifts_checked: int
     lifts_valid: bool
 
-    to_json = asdict
+    def to_json(self) -> dict:
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class SpreadingCertificate:
+class SpreadingCertificate(NamedTuple):
     """Exact comparison of q-forcing on G and spreading on its gadget."""
 
     forcing: int
@@ -106,7 +105,8 @@ class SpreadingCertificate:
     lifts_checked: int
     lifts_valid: bool
 
-    to_json = asdict
+    def to_json(self) -> dict:
+        return self._asdict()
 
 
 def _certify(

@@ -9,9 +9,8 @@ serialization reproduces it bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphFormatError(ValueError):
@@ -44,18 +43,20 @@ def _require_int(what: str, name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{what} requires integer {name} >= {minimum}, got {value}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class _GraphFields(NamedTuple):
+    n: int
+    adj: tuple[tuple[int, ...], ...]
+    labels: tuple[tuple[int, str], ...] | None = None
+
+
+class Graph(_GraphFields):
     """Immutable undirected simple graph.
 
     ``adj[v]`` is the sorted tuple of neighbors of ``v``.  ``labels`` is an
     optional sorted tuple of ``(vertex, label)`` pairs used by gadget builders
-    to tag constructed vertices.
+    to tag constructed vertices.  The class declares no ``__slots__``, so its
+    cached properties have an instance ``__dict__`` to live in.
     """
-
-    n: int
-    adj: tuple[tuple[int, ...], ...]
-    labels: tuple[tuple[int, str], ...] | None = None
 
     @staticmethod
     def from_edges(
@@ -274,8 +275,7 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple("FamilySpec", [("family", str), ("args", tuple)])):
     """A named graph family with its parameters.
 
     ``args`` holds the family's integer size parameters.  They are validated
@@ -283,20 +283,19 @@ class FamilySpec:
     building the graph.
     """
 
-    family: str
-    args: tuple
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if len(self.args) != FAMILIES[self.family][1]:
-            raise ValueError(
-                f"{self.family} takes {FAMILIES[self.family][1]} parameter(s), "
-                f"got {len(self.args)}"
-            )
-        minimum = 3 if self.family == "cycle" else 1
-        for a in self.args:
-            _require_int(self.family, "size", a, minimum)
+    def __new__(cls, family: str, args: tuple) -> FamilySpec:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if len(args) != FAMILIES[family][1]:
+            raise ValueError(f"{family} takes {FAMILIES[family][1]} parameter(s), got {len(args)}")
+        minimum = 3 if family == "cycle" else 1
+        for a in args:
+            _require_int(family, "size", a, minimum)
+        return super().__new__(cls, family, args)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
 
 def build_family(spec: FamilySpec) -> Graph:

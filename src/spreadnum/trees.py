@@ -16,7 +16,7 @@ Everything runs in linear time, up to sorting, and checks its own result.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .engine import (
     INFINITY,
@@ -42,20 +42,17 @@ def _rooted(T: Graph) -> tuple[list[int], list[int]]:
     return _bfs(T.adj, root, parent), parent
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint vertex sets covering a tree, each inducing a subtree."""
+class Partition(tuple):
+    """Disjoint vertex sets covering a tree, each inducing a subtree: a tuple of the parts."""
 
-    parts: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
+    @property
+    def parts(self) -> tuple[frozenset[int], ...]:
+        return tuple(self)
 
     def to_json(self) -> dict:
-        return {"count": len(self.parts), "parts": [sorted(p) for p in self.parts]}
+        return {"count": len(self), "parts": [sorted(p) for p in self]}
 
 
 def partition_is_valid(T: Graph, q: int, partition: Partition) -> bool:
@@ -179,15 +176,15 @@ def tree_lower_bound(n: int, p: int) -> int:
     return ((p - 1) * n + p) // p
 
 
-@dataclass(frozen=True)
-class UpperBoundReport:
+class UpperBoundReport(NamedTuple):
     """Result of :func:`tree_upper_bound`: the bound, whether it is attained, and why."""
 
     bound: int
     attained: bool
     reason: str
 
-    to_json = asdict
+    def to_json(self) -> dict:
+        return self._asdict()
 
 
 def tree_upper_bound(T: Graph, p: int, q: int | float) -> UpperBoundReport:
@@ -221,8 +218,7 @@ def tree_upper_bound(T: Graph, p: int, q: int | float) -> UpperBoundReport:
     )
 
 
-@dataclass(frozen=True)
-class PnpStep:
+class PnpStep(NamedTuple):
     """Per-step bookkeeping for the tightness certificate."""
 
     vertex: int
@@ -241,8 +237,7 @@ class PnpStep:
         }
 
 
-@dataclass(frozen=True)
-class PnpReport:
+class PnpReport(NamedTuple):
     """Outcome of checking property P(n,p) for one set and ordering."""
 
     holds: bool

@@ -41,8 +41,8 @@ def _python(*args: str, memory_mb: int | None = None) -> subprocess.CompletedPro
     )
 
 
-def _probe(script: str):
-    proc = _python("-c", script)
+def _probe(script: str, *flags: str):
+    proc = _python(*flags, "-c", script)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -111,7 +111,7 @@ def test_every_public_name_resolves_and_is_listed():
     for name in spreadnum.__all__:
         value = getattr(spreadnum, name)
         assert value is getattr(sys.modules[f"spreadnum.{spreadnum._HOME[name]}"], name)
-        # A dataclass without a docstring gets its signature as __doc__.
+        # A record class without a docstring gets its signature as __doc__.
         if callable(value):
             assert value.__doc__ and not value.__doc__.startswith(f"{name}("), name
 
@@ -171,6 +171,48 @@ def test_command_loads_only_its_modules(argv, modules):
     assert code == 0, err
     json.loads(out)
     assert loaded == modules
+
+
+@pytest.mark.parametrize(
+    "statement",
+    ["from spreadnum import *"]
+    + [f"from spreadnum.cli import main; main({argv!r})" for argv, _ in COMMAND_MODULES],
+    ids=["star-import"] + [argv[0] for argv, _ in COMMAND_MODULES],
+)
+def test_no_command_loads_dataclasses(statement):
+    # Only modules loaded after the snapshot count: site may import anything.
+    loaded = _probe(
+        "import contextlib, io, json, sys\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {statement}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    assert any(m.startswith("spreadnum.") for m in loaded)
+    assert "dataclasses" not in loaded
+
+
+def test_revalidation_survives_optimize():
+    # Under -O every assert is gone: a witness that fails its closure must
+    # still raise, both for a grid witness and for an exact result.
+    doc = _probe(
+        "import json, sys\n"
+        "import spreadnum.engine as engine, spreadnum.formulas as formulas\n"
+        "from spreadnum import SpreadParams, path, sigma_tree\n"
+        "formulas.is_spreading_set = lambda G, params, seeds: False\n"
+        "real = engine.closure\n"
+        "engine.closure = lambda G, params, seeds: (frozenset(), real(G, params, seeds)[1])\n"
+        "errors = []\n"
+        "for call in (lambda: formulas.grid_witness(2, 1, 5, 5),\n"
+        "             lambda: sigma_tree(path(4), SpreadParams(1, 1))):\n"
+        "    try:\n"
+        "        errors.append(repr(call()))\n"
+        "    except AssertionError as exc:\n"
+        "        errors.append(str(exc))\n"
+        "print(json.dumps([sys.flags.optimize, errors]))",
+        "-O",
+    )
+    assert doc == [1, ["witness failed validation", "witness failed re-validation"]]
 
 
 def test_exit_2_bad_family():

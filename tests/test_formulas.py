@@ -265,6 +265,15 @@ def test_cell_id_round_trip():
             grid_id_cell(bad, 3, 3)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [(grid_id_cell, (4, 3, 3.0)), (grid_cell_id, (2, 2, 3, 3.0)), (grid_cell_id, (1, 1, 2.5, 2))],
+)
+def test_cell_id_rejects_non_integer_board(call, args):
+    with pytest.raises(ValueError, match="grid requires integer dimensions"):
+        call(*args)
+
+
 def test_three_three_separation():
     g = grid(3, 3)
     v1 = sigma_exact(g, P(3, 1)).value
